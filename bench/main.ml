@@ -327,6 +327,30 @@ let serve_benchmarks () =
     measure ~name:"canonicalize n=150" ~iterations:50 (fun () ->
         ignore (Serve.Canon.key big))
   in
+  (* LP layer: Theorem 3.3's binary search over ILP-UM, one model whose
+     probes each restart from the previous probe's basis. The record keeps
+     only the work counters that pin the chain down (solves, primal
+     phase-1 and dual pivots, probes); all are deterministic, so the hard
+     counter gate checks them exactly. *)
+  let lp_chain =
+    let inst = Workloads.Gen.unrelated (Workloads.Rng.create 3004) ~n:28 ~m:4 ~k:4 () in
+    let r =
+      measure ~with_percentiles:true ~name:"lp_um lower_bound chain n=28 m=4"
+        ~iterations:20 (fun () -> ignore (Algos.Lp_um.lower_bound inst))
+    in
+    {
+      r with
+      Obs.Expo.counters =
+        List.map
+          (fun name -> (name, Option.value ~default:0 (List.assoc_opt name r.Obs.Expo.counters)))
+          [
+            "lp.simplex.solves";
+            "lp.simplex.phase1_iters";
+            "lp.simplex.dual_iters";
+            "core.binary_search.probes";
+          ];
+    }
+  in
   (* session subsystem: a long-lived session absorbing ±1-job mutations,
      each followed by an incremental resolve. The repair seed comes from
      a deadline-pressured first resolve (cheap tier), so the record's
@@ -602,7 +626,8 @@ let serve_benchmarks () =
       span_emit;
       health;
       mux_held;
-      mux_overload
+      mux_overload;
+      lp_chain
     ]
   in
   let table = Stats.Table.create [ "benchmark"; "iters"; "time/iter" ] in

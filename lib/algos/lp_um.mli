@@ -9,7 +9,14 @@
     - [y_i,k_j >= x_ij] per eligible pair  (4)
 
     Feasibility of this LP at [T = OPT] is implied by any optimal integral
-    schedule, so the smallest feasible [T] lower-bounds the optimum. *)
+    schedule, so the smallest feasible [T] lower-bounds the optimum.
+
+    The LP is built once per instance over every pair with finite times,
+    with [T] a variable: the load rows read [Σ p x + Σ s y - T <= 0], and
+    a guess fixes [T] and sets [ub = 0] on the pairs and setups it
+    filters out. Only bounds change between guesses, so {!lower_bound}
+    re-solves the same model, each probe starting from the previous
+    probe's final basis (dual pivots only: the objective is zero). *)
 
 type fractional = {
   makespan : float;  (** the guess [T] this solution is feasible for *)

@@ -1,9 +1,10 @@
 (** Linear programming for the reproduction: the model builder (included
-    below), the raw standard-form solver ({!Simplex}) and a small 0/1
-    branch-and-bound MIP layer ({!Mip}). *)
+    below), the LP engine ({!Simplex}) and a small 0/1 branch-and-bound
+    MIP layer ({!Mip}). *)
 
 module Simplex = Simplex
-(** The underlying standard-form solver. *)
+(** The engine: bounded-variable primal/dual simplex with warm starts,
+    plus a dense standard-form front end. *)
 
 module Mip = Mip
 (** 0/1 mixed-integer solving by LP-based branch and bound. *)

@@ -4,16 +4,36 @@ type var_info = { name : string; lb : float; ub : float; mutable obj : float }
 
 type constr = { terms : (float * int) list; rel : relation; rhs : float }
 
+(* The lowering to the engine's sparse form depends only on the
+   constraints, never on bounds or objective, so it is kept until the
+   model grows. *)
+type lowering = {
+  at : int * int; (* (nvars, nconstrs) it was built for *)
+  mat : Simplex.matrix;
+  row_lo : float array;
+  row_hi : float array;
+}
+
 type t = {
   mutable vars : var_info array;
   mutable nvars : int;
   mutable constrs : constr list; (* newest first *)
   mutable nconstrs : int;
+  mutable lowered : lowering option;
 }
 
 type var = int
 
-let create () = { vars = Array.make 16 { name = ""; lb = 0.; ub = 0.; obj = 0. }; nvars = 0; constrs = []; nconstrs = 0 }
+type basis = Simplex.basis
+
+let create () =
+  {
+    vars = Array.make 16 { name = ""; lb = 0.; ub = 0.; obj = 0. };
+    nvars = 0;
+    constrs = [];
+    nconstrs = 0;
+    lowered = None;
+  }
 
 let add_var ?(lb = 0.0) ?(ub = infinity) ?(obj = 0.0) t name =
   if Float.is_nan lb || Float.is_nan ub then
@@ -47,34 +67,38 @@ let var_bounds t v = (t.vars.(v).lb, t.vars.(v).ub)
 type solution = {
   objective : float;
   var_values : float array; (* original variables, creation order *)
+  eff_lb : float array;
+  eff_ub : float array;
+  final : Simplex.basis;
 }
 
 type result = Optimal of solution | Infeasible | Unbounded | Aborted
 
-(* Lowering: each original variable becomes either one shifted column
-   (x = col + lb) or, when free, a difference of two columns. Finite upper
-   bounds become extra <= rows. Each inequality gets one slack column. *)
-type lowering = {
-  col_of_var : int array; (* first column of each variable *)
-  split : bool array; (* true if variable is free (two columns) *)
-  nstd : int; (* structural columns (before slacks) *)
-}
+(* Rows in creation order; each row's relation becomes activity bounds. *)
+let lower t =
+  let key = (t.nvars, t.nconstrs) in
+  match t.lowered with
+  | Some l when l.at = key -> l
+  | _ ->
+      let rows = Array.of_list (List.rev t.constrs) in
+      let m = Array.length rows in
+      let cols = Array.make t.nvars [] in
+      let row_lo = Array.make m neg_infinity and row_hi = Array.make m infinity in
+      Array.iteri
+        (fun r { terms; rel; rhs } ->
+          List.iter (fun (coeff, v) -> cols.(v) <- (r, coeff) :: cols.(v)) terms;
+          match rel with
+          | Le -> row_hi.(r) <- rhs
+          | Ge -> row_lo.(r) <- rhs
+          | Eq ->
+              row_lo.(r) <- rhs;
+              row_hi.(r) <- rhs)
+        rows;
+      let l = { at = key; mat = Simplex.matrix_of_columns ~rows:m cols; row_lo; row_hi } in
+      t.lowered <- Some l;
+      l
 
-let lower_with t eff_lb =
-  let col_of_var = Array.make t.nvars 0 in
-  let split = Array.make t.nvars false in
-  let next = ref 0 in
-  for v = 0 to t.nvars - 1 do
-    col_of_var.(v) <- !next;
-    if eff_lb.(v) = neg_infinity then begin
-      split.(v) <- true;
-      next := !next + 2
-    end
-    else incr next
-  done;
-  { col_of_var; split; nstd = !next }
-
-let solve ?(maximize = false) ?(eps = 1e-9) ?(overrides = []) t =
+let solve_warm ?(maximize = false) ?(eps = 1e-9) ?(overrides = []) ?basis t =
   let eff_lb = Array.init t.nvars (fun v -> t.vars.(v).lb) in
   let eff_ub = Array.init t.nvars (fun v -> t.vars.(v).ub) in
   List.iter
@@ -82,103 +106,53 @@ let solve ?(maximize = false) ?(eps = 1e-9) ?(overrides = []) t =
       if v < 0 || v >= t.nvars then invalid_arg "Lp.solve: foreign override";
       if lb > ub then invalid_arg "Lp.solve: override lb > ub";
       eff_lb.(v) <- Float.max eff_lb.(v) lb;
-      eff_ub.(v) <- Float.min eff_ub.(v) ub;
-      if eff_lb.(v) > eff_ub.(v) then
-        (* keep going: the LP will come out infeasible via the bound rows *)
-        ())
+      eff_ub.(v) <- Float.min eff_ub.(v) ub)
     overrides;
-  (* fast infeasibility from contradictory overrides *)
-  let contradictory = ref false in
-  for v = 0 to t.nvars - 1 do
-    if eff_lb.(v) > eff_ub.(v) then contradictory := true
-  done;
-  if !contradictory then Infeasible
+  (* contradictory overrides: infeasible without touching the engine, and
+     the caller's basis stays good for the next solve *)
+  if Array.exists2 (fun lb ub -> lb > ub) eff_lb eff_ub then (Infeasible, basis)
   else
-  let low = lower_with t eff_lb in
-  (* Collect all rows: user constraints (newest first is fine; order is
-     irrelevant) plus upper-bound rows. *)
-  let ub_rows =
-    let acc = ref [] in
-    for v = t.nvars - 1 downto 0 do
-      if eff_ub.(v) < infinity then
-        (* x <= ub  ~>  col (+ lb) <= ub, and for free vars col+ - col- <= ub *)
-        acc := { terms = [ (1.0, v) ]; rel = Le; rhs = eff_ub.(v) } :: !acc
-    done;
-    !acc
-  in
-  let rows = List.rev_append t.constrs ub_rows in
-  let m = List.length rows in
-  let nslack =
-    List.fold_left
-      (fun acc r -> match r.rel with Eq -> acc | Le | Ge -> acc + 1)
-      0 rows
-  in
-  let ncols = low.nstd + nslack in
-  let a = Array.make_matrix m ncols 0.0 in
-  let b = Array.make m 0.0 in
-  let next_slack = ref low.nstd in
-  List.iteri
-    (fun r { terms; rel; rhs } ->
-      let rhs = ref rhs in
-      List.iter
-        (fun (coeff, v) ->
-          let col = low.col_of_var.(v) in
-          if low.split.(v) then begin
-            a.(r).(col) <- a.(r).(col) +. coeff;
-            a.(r).(col + 1) <- a.(r).(col + 1) -. coeff
-          end
-          else begin
-            a.(r).(col) <- a.(r).(col) +. coeff;
-            (* shift by lb: coeff * (col + lb) *)
-            rhs := !rhs -. (coeff *. eff_lb.(v))
-          end)
-        terms;
-      b.(r) <- !rhs;
-      (match rel with
-      | Eq -> ()
-      | Le ->
-          a.(r).(!next_slack) <- 1.0;
-          incr next_slack
-      | Ge ->
-          a.(r).(!next_slack) <- -1.0;
-          incr next_slack))
-    rows;
-  let c = Array.make ncols 0.0 in
-  let sign = if maximize then -1.0 else 1.0 in
-  for v = 0 to t.nvars - 1 do
-    let col = low.col_of_var.(v) in
-    let coeff = sign *. t.vars.(v).obj in
-    if low.split.(v) then begin
-      c.(col) <- coeff;
-      c.(col + 1) <- -.coeff
-    end
-    else c.(col) <- coeff
-  done;
-  match Simplex.solve ~eps ~a ~b ~c () with
-  | Simplex.Infeasible -> Infeasible
-  | Simplex.Unbounded -> Unbounded
-  | Simplex.Iteration_limit -> Aborted
-  | Simplex.Optimal { x; _ } ->
-      let var_values =
-        Array.init t.nvars (fun v ->
-            let col = low.col_of_var.(v) in
-            let raw =
-              if low.split.(v) then x.(col) -. x.(col + 1)
-              else x.(col) +. eff_lb.(v)
-            in
-            Float.min eff_ub.(v) (Float.max eff_lb.(v) raw))
-      in
-      let objective = ref 0.0 in
-      for v = 0 to t.nvars - 1 do
-        if t.vars.(v).obj <> 0.0 then
-          objective := !objective +. (t.vars.(v).obj *. var_values.(v))
-      done;
-      Optimal { objective = !objective; var_values }
+    let low = lower t in
+    let sign = if maximize then -1.0 else 1.0 in
+    let c = Array.init t.nvars (fun v -> sign *. t.vars.(v).obj) in
+    let r =
+      Simplex.solve_bounded ~eps ?basis low.mat ~c ~lb:eff_lb ~ub:eff_ub
+        ~row_lo:low.row_lo ~row_hi:low.row_hi
+    in
+    match (r.Simplex.status, r.Simplex.basis) with
+    | Simplex.Optimal, Some final ->
+        (* clamp to the bounds to absorb round-off *)
+        let var_values =
+          Array.mapi (fun v x -> Float.min eff_ub.(v) (Float.max eff_lb.(v) x)) r.Simplex.x
+        in
+        let objective = ref 0.0 in
+        for v = 0 to t.nvars - 1 do
+          if t.vars.(v).obj <> 0.0 then
+            objective := !objective +. (t.vars.(v).obj *. var_values.(v))
+        done;
+        (Optimal { objective = !objective; var_values; eff_lb; eff_ub; final }, r.Simplex.basis)
+    | Simplex.Infeasible, b -> (Infeasible, b)
+    | Simplex.Unbounded, _ -> (Unbounded, None)
+    | (Simplex.Optimal | Simplex.Iteration_limit), _ -> (Aborted, None)
+
+let solve ?maximize ?eps ?overrides t = fst (solve_warm ?maximize ?eps ?overrides t)
 
 let objective_value s = s.objective
 let value s v = s.var_values.(v)
 let values s = Array.copy s.var_values
-let is_vertex_hint _ = true
+(* Basic solutions leave every nonbasic variable exactly on a bound; a
+   nonbasic free variable (resting at 0) is the only way to miss one. *)
+let is_vertex s =
+  let basic = Array.make (Array.length s.var_values) false in
+  Array.iter
+    (fun h -> if h < Array.length basic then basic.(h) <- true)
+    (Simplex.basic_columns s.final);
+  let ok = ref true in
+  Array.iteri
+    (fun v x ->
+      if not (basic.(v) || x = s.eff_lb.(v) || x = s.eff_ub.(v)) then ok := false)
+    s.var_values;
+  !ok
 
 let pp_solution t ppf s =
   Format.fprintf ppf "@[<v>objective = %g@," s.objective;

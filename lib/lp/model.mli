@@ -1,10 +1,12 @@
 (** Linear-program model builder on top of {!Simplex}.
 
     Variables carry bounds and objective coefficients; constraints are
-    linear with [<=], [>=] or [=]. The builder lowers the model to standard
-    form (shifting lower bounds, splitting free variables, adding slack
-    columns and upper-bound rows) and recovers solution values in terms of
-    the original variables. *)
+    linear with [<=], [>=] or [=]. The builder lowers the constraints to
+    the engine's sparse column form — one column per variable, one row
+    per constraint, bounds passed natively — and keeps that lowering
+    between solves until the model grows, so re-solving with other
+    bounds or from a previous basis costs no rebuild. Solving mutates
+    that cache: a model must not be solved from two domains at once. *)
 
 type t
 (** A mutable model under construction. *)
@@ -42,6 +44,9 @@ type result =
   | Unbounded
   | Aborted  (** iteration limit / numerical breakdown *)
 
+type basis = Simplex.basis
+(** A warm start: the final basis of an earlier solve of the same model. *)
+
 val solve :
   ?maximize:bool ->
   ?eps:float ->
@@ -53,7 +58,21 @@ val solve :
     bounds for this solve only — [(v, (lb, ub))] intersects [v]'s bounds
     with [[lb, ub]] — which is what branch and bound ({!Mip}) uses to fix
     variables without mutating the model. Contradictory overrides yield
-    [Infeasible]. *)
+    [Infeasible]. The solve is cold; {!solve_warm} restarts from an
+    earlier solve's basis. *)
+
+val solve_warm :
+  ?maximize:bool ->
+  ?eps:float ->
+  ?overrides:(var * (float * float)) list ->
+  ?basis:basis ->
+  t ->
+  result * basis option
+(** {!solve}, also returning the final basis on [Optimal] and
+    [Infeasible] (for contradictory overrides, the [basis] passed in).
+    Feeding it to the next solve of the same model — typically with
+    other [overrides] — restarts from that basis and its factorization;
+    with a zero objective the restart costs dual pivots only. *)
 
 val objective_value : solution -> float
 
@@ -64,9 +83,11 @@ val value : solution -> var -> float
 val values : solution -> float array
 (** All variable values, indexed by creation order. *)
 
-val is_vertex_hint : solution -> bool
-(** Always true for solutions produced here: the simplex returns basic
-    solutions, i.e. vertices. Exposed for documentation of intent at call
-    sites that require extreme points. *)
+val is_vertex : solution -> bool
+(** Whether the solution is basic by its final basis: every variable
+    outside the basis sits exactly on one of its (effective) bounds. True
+    for every optimum of a model without free variables; a free variable
+    left nonbasic at 0 makes it [false]. The pseudo-forest rounding of
+    Lemma 3.8 needs such extreme points. *)
 
 val pp_solution : t -> Format.formatter -> solution -> unit

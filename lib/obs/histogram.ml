@@ -183,9 +183,11 @@ let quantile s q =
     | [] -> s.max_value (* unreachable: ranks are <= count *)
     | (ub, c) :: rest ->
         if seen + c >= rank then
-          (* the overflow bucket has no finite upper bound; the tracked
-             maximum is the tightest statement we can make there *)
-          if ub = infinity then s.max_value else ub
+          (* no observation exceeds the tracked maximum, so neither may a
+             quantile: this also covers the overflow bucket, whose upper
+             bound is +inf. The bucket upper bound is never below the
+             smallest observation, so no lower clamp is needed. *)
+          Float.min ub s.max_value
         else go (seen + c) rest
   in
   go 0 s.buckets

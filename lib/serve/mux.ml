@@ -297,14 +297,14 @@ let dispatch t (work : work) =
       pump t work.wconn
   | Some incoming ->
       if t.max_inflight = 0 then begin
-        work.wslot := Some (Server.handle_incoming t.server incoming);
+        work.wslot := Some (Server.handle_incoming ~admitted:true t.server incoming);
         pump t work.wconn
       end
       else begin
         t.inflight <- t.inflight + 1;
         Parallel.Pool.submit (Server.pool t.server) (fun () ->
             let response =
-              try Server.handle_incoming t.server incoming
+              try Server.handle_incoming ~admitted:true t.server incoming
               with exn ->
                 Proto.Error
                   (Printf.sprintf "internal error: %s" (Printexc.to_string exn))

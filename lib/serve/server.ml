@@ -267,7 +267,19 @@ let adopt_trace trace =
 let with_parent_span parent f =
   match parent with Some p -> Obs.Sink.with_span_id p f | None -> f ()
 
-let handle_request t (req : Proto.request) =
+(* Pressure for the dispatch layer's pre-emptive shed. A frame the mux
+   already admitted was judged against the same health lattice when it
+   arrived; re-reading it on the worker would race the loop filling the
+   queue behind that very frame (which then sheds the frame the burst
+   is waiting for), so admitted frames are never shed twice. *)
+let pressure ~admitted () =
+  (not admitted)
+  &&
+  match Obs.Health.status () with
+  | Obs.Health.Ok -> false
+  | Obs.Health.Degraded _ | Obs.Health.Unhealthy _ -> true
+
+let handle_request ?(admitted = false) t (req : Proto.request) =
   let req_id, parent_span = adopt_trace req.Proto.trace in
   Obs.Sink.with_ctx req_id @@ fun () ->
   with_parent_span parent_span @@ fun () ->
@@ -328,11 +340,7 @@ let handle_request t (req : Proto.request) =
     | Some _ as d -> d
     | None -> t.config.default_deadline_ms
   in
-  let pressure () =
-    match Obs.Health.status () with
-    | Obs.Health.Ok -> false
-    | Obs.Health.Degraded _ | Obs.Health.Unhealthy _ -> true
-  in
+  let pressure = pressure ~admitted in
   finish
   @@
   let ph = Canon.prehash req.instance in
@@ -503,18 +511,14 @@ let handle_explain id =
 (* Session frames carry their own serve.session.* metrics (and a phase
    with the ambient request id for traces); they stay outside the
    serve.requests family, whose cells mean one-shot solve traffic. *)
-let handle_session t (sreq : Proto.session_request) =
+let handle_session ?(admitted = false) t (sreq : Proto.session_request) =
   let req_id, parent_span = adopt_trace sreq.Proto.trace in
   Obs.Sink.with_ctx req_id @@ fun () ->
   with_parent_span parent_span @@ fun () ->
   Obs.Span.phase ~detail:("sid=" ^ sreq.Proto.sid) "serve.session"
   @@ fun () ->
   Obs.Health.beat ();
-  let pressure () =
-    match Obs.Health.status () with
-    | Obs.Health.Ok -> false
-    | Obs.Health.Degraded _ | Obs.Health.Unhealthy _ -> true
-  in
+  let pressure = pressure ~admitted in
   match
     Session.handle t.sessions ~cache:t.cache
       ~default_deadline_ms:t.config.default_deadline_ms ~pressure sreq
@@ -575,9 +579,9 @@ let handle_profile (pr : Proto.profile_request) =
    transport (blocking channels here, the mux event loop's parsed
    frames). Solve and session frames carry their own heartbeats inside
    their request context; admin frames beat here. *)
-let handle_incoming t (incoming : Proto.incoming) =
+let handle_incoming ?admitted t (incoming : Proto.incoming) =
   match incoming with
-  | Proto.Solve req -> handle_request t req
+  | Proto.Solve req -> handle_request ?admitted t req
   | Proto.Stats format ->
       Obs.Health.beat ();
       handle_stats format
@@ -590,7 +594,7 @@ let handle_incoming t (incoming : Proto.incoming) =
   | Proto.Explain id ->
       Obs.Health.beat ();
       handle_explain id
-  | Proto.Session sreq -> handle_session t sreq
+  | Proto.Session sreq -> handle_session ?admitted t sreq
   | Proto.Profile pr ->
       Obs.Health.beat ();
       handle_profile pr

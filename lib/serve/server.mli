@@ -47,7 +47,9 @@
     the composite status, meters, burn rates and per-domain heartbeat
     ages; {!handle_request} passes [Obs.Health.status] to
     {!Dispatch.solve} as the [pressure] signal, so a non-[Ok] status
-    sheds the heavy solver tier pre-emptively ([serve.dispatch.shed]).
+    sheds the heavy solver tier pre-emptively ([serve.dispatch.shed]) —
+    except for frames the mux event loop already admitted, whose
+    admission was decided against the same status.
 
     Sessions: [session v1] frames route into the server's
     {!Session} registry — create/mutate/resolve/close long-lived
@@ -105,7 +107,7 @@ type t
 
 val create : config -> t
 
-val handle_request : t -> Proto.request -> Proto.response
+val handle_request : ?admitted:bool -> t -> Proto.request -> Proto.response
 (** The transport-independent core: fingerprint ({!Canon.prehash}),
     canonicalize, consult the cache, and on a miss dispatch under the
     request's deadline and cache the result (degraded results are not
@@ -116,13 +118,16 @@ val handle_request : t -> Proto.request -> Proto.response
     ([serve.canon.prehash_misses]; seen pre-hashes count in
     [serve.canon.prehash_hits]). Cached schedules are translated back
     through the request's labeling. Used directly by the bench
-    harness. *)
+    harness. [admitted] (default [false]) marks a frame a transport's
+    admission control already accepted under the health lattice: it is
+    never shed again by the dispatch-level [pressure] read. *)
 
-val handle_incoming : t -> Proto.incoming -> Proto.response
+val handle_incoming : ?admitted:bool -> t -> Proto.incoming -> Proto.response
 (** Dispatch one parsed frame of any kind to its handler — the shared
     core of every transport ({!serve_channels} and the mux event loop).
     Admin frames stamp a health heartbeat here; solve/session frames
-    carry their own inside their request context. *)
+    carry their own inside their request context. [admitted] is passed
+    to solve and session frames (see {!handle_request}). *)
 
 val protocol_error : string -> Proto.response
 (** The response for a frame that failed to parse: counts the failure in

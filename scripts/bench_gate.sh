@@ -3,8 +3,8 @@
 #
 # Two gates over the same fresh run vs the committed BENCH_serve.json:
 #
-#   counters  HARD.  The per-record counter deltas (solver nodes, cache
-#             hits, health checks, ...) are deterministic by
+#   counters  HARD.  The per-record counter deltas (solver nodes, LP
+#             pivots, cache hits, health checks, ...) are deterministic by
 #             construction — fixed seeds, fixed iteration counts, no
 #             background ticker — so any drift is a behaviour change,
 #             not noise. Every baseline counter must match the fresh

@@ -250,6 +250,107 @@ let test_lp_overrides () =
     | Lp.Optimal s -> Float.abs (Lp.value s x -. 7.0) < 1e-7
     | _ -> false)
 
+(* --- Warm starts ---------------------------------------------------------- *)
+
+let counter name = Obs.Counter.value (Option.get (Obs.Counter.find name))
+
+(* A small ILP-UM-like feasibility chain: 3 jobs on 2 machines, loads
+   against a guess variable T that each solve fixes. *)
+let chain_model () =
+  let m = Lp.create () in
+  let p = [| [| 4.0; 2.0; 3.0 |]; [| 2.0; 5.0; 3.0 |] |] in
+  let x = Array.init 2 (fun i -> Array.init 3 (fun j -> Lp.add_var m (Printf.sprintf "x%d%d" i j))) in
+  let y = Array.init 2 (fun i -> Lp.add_var ~ub:1.0 m (Printf.sprintf "y%d" i)) in
+  let t = Lp.add_var m "T" in
+  for j = 0 to 2 do
+    Lp.add_constraint m [ (1.0, x.(0).(j)); (1.0, x.(1).(j)) ] Lp.Eq 1.0
+  done;
+  for i = 0 to 1 do
+    Lp.add_constraint m
+      ((1.0, y.(i)) :: (-1.0, t) :: List.init 3 (fun j -> (p.(i).(j), x.(i).(j))))
+      Lp.Le 0.0;
+    for j = 0 to 2 do
+      Lp.add_constraint m [ (1.0, y.(i)); (-1.0, x.(i).(j)) ] Lp.Ge 0.0
+    done
+  done;
+  (m, x, t)
+
+let test_warm_equals_cold () =
+  let m, x, t = chain_model () in
+  let basis = ref None and warm0 = counter "lp.simplex.warm_starts" in
+  List.iter
+    (fun guess ->
+      let over = [ (t, (guess, guess)) ] in
+      let warm, b = Lp.solve_warm ~overrides:over ?basis:!basis m in
+      if b <> None then basis := b;
+      let cold = Lp.solve ~overrides:over m in
+      match (warm, cold) with
+      | Lp.Optimal w, Lp.Optimal c ->
+          (* same feasibility verdict; both points satisfy the LP *)
+          List.iter
+            (fun s ->
+              for j = 0 to 2 do
+                check_float 1e-7 (Printf.sprintf "T=%g job %d assigned" guess j) 1.0
+                  (Lp.value s x.(0).(j) +. Lp.value s x.(1).(j))
+              done)
+            [ w; c ];
+          Alcotest.(check bool) "warm point is a vertex" true (Lp.is_vertex w)
+      | Lp.Infeasible, Lp.Infeasible -> ()
+      | _ -> Alcotest.failf "T=%g: warm and cold verdicts differ" guess)
+    [ 8.0; 4.0; 6.0; 5.0; 5.5; 20.0; 3.0 ];
+  Alcotest.(check bool) "chain ends with a basis" true (!basis <> None);
+  Alcotest.(check int) "every solve after the first started warm" 6
+    (counter "lp.simplex.warm_starts" - warm0)
+
+let test_warm_objective_matches_cold () =
+  (* an optimization LP re-solved warm after bound changes *)
+  let m = Lp.create () in
+  let a = Lp.add_var ~obj:3.0 ~ub:4.0 m "a" in
+  let b = Lp.add_var ~obj:2.0 ~ub:5.0 m "b" in
+  let c = Lp.add_var ~obj:(-1.0) ~ub:3.0 m "c" in
+  Lp.add_constraint m [ (1.0, a); (1.0, b); (1.0, c) ] Lp.Ge 4.0;
+  Lp.add_constraint m [ (1.0, a); (-1.0, b) ] Lp.Le 1.0;
+  let basis = ref None in
+  List.iter
+    (fun over ->
+      let warm, bs = Lp.solve_warm ~overrides:over ?basis:!basis m in
+      if bs <> None then basis := bs;
+      match (warm, Lp.solve ~overrides:over m) with
+      | Lp.Optimal w, Lp.Optimal c ->
+          check_float 1e-7 "warm objective = cold objective" (Lp.objective_value c)
+            (Lp.objective_value w)
+      | Lp.Infeasible, Lp.Infeasible -> ()
+      | _ -> Alcotest.fail "warm and cold verdicts differ")
+    [ []; [ (c, (0.0, 1.0)) ]; [ (b, (0.0, 0.5)); (c, (0.0, 0.0)) ]; []; [ (a, (2.0, 4.0)) ] ]
+
+let test_tighten_to_infeasible () =
+  (* lowering T step by step: feasible down to T = 5 (job 2 split
+     evenly gives loads of 4.5), then a dual ray proves infeasibility *)
+  let m, _, t = chain_model () in
+  let basis = ref None and last = ref Lp.Aborted in
+  List.iter
+    (fun guess ->
+      let r, b = Lp.solve_warm ~overrides:[ (t, (guess, guess)) ] ?basis:!basis m in
+      if b <> None then basis := b;
+      last := r;
+      if guess >= 5.0 then
+        Alcotest.(check bool) (Printf.sprintf "T=%g feasible" guess) true
+          (match r with Lp.Optimal _ -> true | _ -> false))
+    [ 10.0; 7.0; 5.0; 3.0; 1.0 ];
+  Alcotest.(check bool) "tightened past feasibility" true (!last = Lp.Infeasible)
+
+let test_no_phase1_when_slack_basis_feasible () =
+  (* y - x >= 0 with rhs 0: the all-logical start is feasible already *)
+  let m = Lp.create () in
+  let xs = Array.init 4 (fun i -> Lp.add_var ~obj:(-1.0) ~ub:1.0 m (Printf.sprintf "x%d" i)) in
+  let y = Lp.add_var ~ub:1.0 m "y" in
+  Array.iter (fun x -> Lp.add_constraint m [ (1.0, y); (-1.0, x) ] Lp.Ge 0.0) xs;
+  let p1 = counter "lp.simplex.phase1_iters" in
+  (match Lp.solve m with
+  | Lp.Optimal s -> check_float 1e-9 "all x up" (-4.0) (Lp.objective_value s)
+  | _ -> Alcotest.fail "expected optimal");
+  Alcotest.(check int) "phase1_iters" 0 (counter "lp.simplex.phase1_iters" - p1)
+
 (* --- MIP (branch and bound) --------------------------------------------- *)
 
 let test_mip_knapsack () =
@@ -487,6 +588,20 @@ let prop_two_var_optimal =
       | Lp.Unbounded -> false (* impossible: box-bounded *)
       | _ -> false)
 
+(* The engine against the dense tableau reference (Check.Lp_oracle),
+   one random LP and its warm re-solve chain per case. *)
+let prop_differential_oracle =
+  QCheck.Test.make ~name:"bounded dual simplex agrees with the dense tableau"
+    ~count:300 QCheck.small_nat (fun seed ->
+      match
+        Check.Lp_oracle.check_case ~reference:Lp_ref.Standard_form.verdict
+          (Workloads.Rng.create seed)
+      with
+      | [] -> true
+      | vs ->
+          QCheck.Test.fail_reportf "%s"
+            (String.concat "; " (List.map Check.Violation.to_string vs)))
+
 let () =
   Alcotest.run "lp"
     [
@@ -520,6 +635,16 @@ let () =
           Alcotest.test_case "var validation" `Quick test_lp_var_validation;
           Alcotest.test_case "bound overrides" `Quick test_lp_overrides;
         ] );
+      ( "warm",
+        [
+          Alcotest.test_case "warm equals cold" `Quick test_warm_equals_cold;
+          Alcotest.test_case "warm objective equals cold" `Quick
+            test_warm_objective_matches_cold;
+          Alcotest.test_case "tighten to infeasible" `Quick
+            test_tighten_to_infeasible;
+          Alcotest.test_case "no phase 1 from a feasible slack basis" `Quick
+            test_no_phase1_when_slack_basis_feasible;
+        ] );
       ( "mip",
         [
           Alcotest.test_case "knapsack" `Quick test_mip_knapsack;
@@ -540,5 +665,6 @@ let () =
             prop_transport_feasible;
             prop_two_var_optimal;
             prop_mip_matches_brute_force;
+            prop_differential_oracle;
           ] );
     ]

@@ -445,6 +445,28 @@ let test_histogram_quantile_bound () =
   Alcotest.(check (float 1e-3)) "overflow quantile reports exact max" 1e14
     (H.quantile s 1.0)
 
+let test_histogram_quantile_below_max () =
+  (* a max that sits low in its bucket: the bucket's upper bound exceeds
+     it, and every quantile must still come out at or below the max (and
+     at or above the min) *)
+  let h = H.make "test.hist.clamp" in
+  H.reset h;
+  let samples = [ 3.0; 150.0; 900.0; 198778.0 ] in
+  List.iter (H.observe h) samples;
+  let s = H.merged h in
+  let lo = List.fold_left Float.min infinity samples in
+  List.iter
+    (fun q ->
+      let e = H.quantile s q in
+      Alcotest.(check bool)
+        (Printf.sprintf "q=%.2f: %g <= max %g" q e s.H.max_value)
+        true (e <= s.H.max_value);
+      Alcotest.(check bool)
+        (Printf.sprintf "q=%.2f: %g >= min %g" q e lo)
+        true (e >= lo))
+    [ 0.0; 0.1; 0.25; 0.5; 0.75; 0.9; 0.99; 0.999; 1.0 ];
+  Alcotest.(check (float 1e-9)) "p100 is the max" 198778.0 (H.quantile s 1.0)
+
 let test_histogram_hammer () =
   (* 4 pool domains x 64 tasks x 500 observations: merged snapshot loses
      nothing even though every domain records into its own shard *)
@@ -974,6 +996,8 @@ let () =
           Alcotest.test_case "basics" `Quick test_histogram_basics;
           Alcotest.test_case "quantile error bounded by ratio" `Quick
             test_histogram_quantile_bound;
+          Alcotest.test_case "quantile never above max" `Quick
+            test_histogram_quantile_below_max;
           Alcotest.test_case "4-domain hammer" `Quick test_histogram_hammer;
         ] );
       ("labeled", [ Alcotest.test_case "families" `Quick test_labeled ]);

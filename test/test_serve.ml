@@ -1001,6 +1001,35 @@ let test_dispatch_pressure_sheds () =
   | Ok o -> Alcotest.(check bool) "not degraded" false o.Serve.Dispatch.degraded
   | Error msg -> Alcotest.fail msg
 
+let test_admitted_frames_not_reshed () =
+  (* a frame a transport already admitted is not shed again by the
+     dispatch-level pressure read: with the health lattice degraded, a
+     plain request sheds the heavy tier, an admitted one runs it *)
+  let saturated = ref true in
+  Obs.Health.register_meter "test.admitted.saturated" (fun () ->
+      if !saturated then 1.0 else 0.0);
+  Fun.protect ~finally:(fun () -> saturated := false) @@ fun () ->
+  let server =
+    Serve.Server.create { Serve.Server.default_config with jobs = 1 }
+  in
+  Fun.protect ~finally:(fun () -> Serve.Server.shutdown server) @@ fun () ->
+  let req =
+    {
+      Serve.Proto.solver = Some "exact";
+      deadline_ms = None;
+      instance = Workloads.Gen.uniform (rng 61) ~n:8 ~m:3 ~k:2 ();
+      trace = None;
+    }
+  in
+  let degraded ?admitted () =
+    match Serve.Server.handle_request ?admitted server req with
+    | Serve.Proto.Reply r -> r.Serve.Proto.degraded
+    | _ -> Alcotest.fail "expected a solve reply"
+  in
+  Alcotest.(check bool) "plain request shed under pressure" true (degraded ());
+  Alcotest.(check bool) "admitted request runs the heavy tier" false
+    (degraded ~admitted:true ())
+
 let test_server_slow_dump () =
   (* acceptance criterion: a request over the slow threshold dumps a
      valid JSON-lines recorder slice carrying the request id on every
@@ -2015,6 +2044,8 @@ let () =
             test_dispatch_lpt_inapplicable;
           Alcotest.test_case "pressure sheds heavy tier" `Quick
             test_dispatch_pressure_sheds;
+          Alcotest.test_case "admitted frames are not shed twice" `Quick
+            test_admitted_frames_not_reshed;
         ] );
       ( "proto",
         [
