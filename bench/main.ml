@@ -534,10 +534,9 @@ let serve_benchmarks () =
      latency in the round rides the head-of-line solve: the p99 here is
      the round-trip under overload. The record's counters are the
      admission ledger read from the labeled cells: admission is decided
-     synchronously on the event loop against the queue gauge, so it is
-     exact run-to-run — whereas the solver-side counters race (the
-     worker's own pressure check can shed the head solve when it reads
-     health after the queue meter fills) and are left out. *)
+     synchronously on the event loop against the queue gauge, and
+     nothing re-judges an admitted frame; solver-side counters are left
+     out. *)
   let mux_overload =
     let oserver =
       Serve.Server.create

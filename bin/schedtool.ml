@@ -406,10 +406,9 @@ let serve_cmd =
   let socket_arg =
     Arg.(value & opt (some string) None
          & info [ "socket" ] ~docv:"PATH"
-             ~doc:"Listen on a Unix-domain socket at $(docv); each \
-                   connection is a session, handled concurrently. \
-                   Combined with $(b,--tcp), the path is served by the \
-                   same multiplexed event loop.")
+             ~doc:"Listen on a Unix-domain socket at $(docv) through the \
+                   multiplexed event loop (see $(b,--tcp)); may be \
+                   combined with $(b,--tcp).")
   in
   let tcp_arg =
     Arg.(value & opt (some string) None
@@ -427,7 +426,7 @@ let serve_cmd =
                    $(b,--backends) by consistent-hashing its canonical \
                    instance fingerprint, so repeated and permuted \
                    instances land on the shard that already cached \
-                   them. Listens on --socket or --tcp.")
+                   them. Listens on --socket and/or --tcp.")
   in
   let backends_arg =
     Arg.(value & opt (some string) None
@@ -624,7 +623,9 @@ let serve_cmd =
                       (Unix.string_of_inet_addr ip) p
                 | Unix.ADDR_UNIX p -> Printf.eprintf "serving on %s\n%!" p
               in
-              let serve_router () =
+              (* one listener set for every socket mode: the event loop
+                 serves (or, with --router, relays) on each of them *)
+              let serve_sockets () =
                 let backend_list =
                   match backends with
                   | None -> []
@@ -632,128 +633,94 @@ let serve_cmd =
                       String.split_on_char ',' b |> List.map String.trim
                       |> List.filter (( <> ) "")
                 in
-                if backend_list = [] then
-                  `Error (false, "--router requires --backends T1,T2,...")
-                else if stdio then
-                  `Error (false, "--router cannot serve --stdio")
-                else
-                  match (socket, tcp) with
-                  | None, None ->
-                      `Error
-                        ( false,
-                          "--router needs a listener: --socket PATH or --tcp \
-                           HOST:PORT" )
-                  | Some _, Some _ ->
-                      `Error
-                        ( false,
-                          "choose one of --socket or --tcp for the router \
-                           listener" )
-                  | listener -> (
-                      let rt = Serve.Router.create backend_list in
-                      let stop _ = Serve.Router.stop rt in
-                      Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
-                      Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
-                      match
-                        (match listener with
-                        | Some path, None ->
-                            Serve.Router.bind_unix rt ~path;
-                            banner (Unix.ADDR_UNIX path)
-                        | None, Some hp -> (
-                            match parse_hostport "--tcp" hp with
-                            | Ok (host, port) ->
-                                banner (Serve.Router.bind_tcp rt ~host ~port)
-                            | Error msg -> failwith msg)
-                        | _ -> assert false);
-                        Printf.eprintf "routing across %d backend(s)\n%!"
-                          (Serve.Router.backend_count rt);
-                        Serve.Router.run rt
-                      with
-                      | () ->
-                          Serve.Router.shutdown rt;
-                          finish ~stats
-                      | exception Failure msg ->
-                          Serve.Router.shutdown rt;
-                          `Error (false, msg)
-                      | exception Unix.Unix_error (err, _, _) ->
-                          Serve.Router.shutdown rt;
-                          `Error
-                            ( false,
-                              Printf.sprintf "cannot listen: %s"
-                                (Unix.error_message err) ))
-              in
-              let serve_mux hp =
-                match parse_hostport "--tcp" hp with
+                let hostport =
+                  match tcp with
+                  | None -> Ok None
+                  | Some hp ->
+                      Result.map
+                        (fun (host, port) -> Some (hp, host, port))
+                        (parse_hostport "--tcp" hp)
+                in
+                match hostport with
                 | Error msg -> `Error (false, msg)
-                | Ok (host, port) -> (
-                    let server = Serve.Server.create config in
-                    let mux =
-                      Serve.Mux.create
-                        ~config:
-                          {
-                            Serve.Mux.max_pending;
-                            max_connections =
-                              Serve.Mux.default_config
-                                .Serve.Mux.max_connections;
-                          }
-                        server
+                | Ok _ when router && backend_list = [] ->
+                    `Error (false, "--router requires --backends T1,T2,...")
+                | Ok hostport -> (
+                    let server, mux =
+                      if router then
+                        ( None,
+                          Serve.Mux.create_router
+                            (Serve.Router.create backend_list) )
+                      else
+                        let server = Serve.Server.create config in
+                        ( Some server,
+                          Serve.Mux.create
+                            ~config:
+                              {
+                                Serve.Mux.default_config with
+                                Serve.Mux.max_pending;
+                              }
+                            server )
                     in
+                    let shutdown () = Option.iter Serve.Server.shutdown server in
                     let stop _ = Serve.Mux.stop mux in
                     Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
                     Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
-                    match
-                      let addr = Serve.Mux.add_tcp mux ~host ~port in
-                      Option.iter
-                        (fun path -> Serve.Mux.add_unix mux ~path)
-                        socket;
-                      addr
-                    with
-                    | exception Unix.Unix_error (err, _, _) ->
-                        Serve.Server.shutdown server;
-                        `Error
-                          ( false,
-                            Printf.sprintf "cannot listen on %s: %s" hp
-                              (Unix.error_message err) )
-                    | addr ->
-                        banner addr;
-                        Option.iter
-                          (fun path -> banner (Unix.ADDR_UNIX path))
-                          socket;
+                    (* a peer that hangs up with replies pending must cost
+                       its connection (EPIPE), not the process *)
+                    Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+                    let bind target f =
+                      try Ok (banner (f ()))
+                      with Unix.Unix_error (err, _, _) ->
+                        Error
+                          (Printf.sprintf "cannot listen on %s: %s" target
+                             (Unix.error_message err))
+                    in
+                    let bound =
+                      Result.bind
+                        (match hostport with
+                        | Some (hp, host, port) ->
+                            bind hp (fun () ->
+                                Serve.Mux.add_tcp mux ~host ~port)
+                        | None -> Ok ())
+                        (fun () ->
+                          match socket with
+                          | Some path ->
+                              bind path (fun () ->
+                                  Serve.Mux.add_unix mux ~path;
+                                  Unix.ADDR_UNIX path)
+                          | None -> Ok ())
+                    in
+                    match bound with
+                    | Error msg ->
+                        shutdown ();
+                        `Error (false, msg)
+                    | Ok () ->
+                        if router then
+                          Printf.eprintf "routing across %d backend(s)\n%!"
+                            (List.length backend_list);
                         Serve.Mux.run mux;
-                        Serve.Server.shutdown server;
+                        shutdown ();
                         finish ~stats)
               in
               let result =
-                if router then serve_router ()
-                else
-                  match (stdio, socket, tcp) with
-                  | false, _, Some hp -> serve_mux hp
-                  | true, None, None ->
-                      let server = Serve.Server.create config in
-                      Serve.Server.run_stdio server;
-                      Serve.Server.shutdown server;
-                      finish ~stats
-                  | false, Some path, None -> (
-                      let server = Serve.Server.create config in
-                      let stop _ = Serve.Server.stop server in
-                      Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
-                      Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
-                      Printf.eprintf "serving on %s\n%!" path;
-                      match Serve.Server.listen server ~path with
-                      | () ->
-                          Serve.Server.shutdown server;
-                          finish ~stats
-                      | exception Unix.Unix_error (err, _, _) ->
-                          Serve.Server.shutdown server;
-                          `Error
-                            ( false,
-                              Printf.sprintf "cannot listen on %s: %s" path
-                                (Unix.error_message err) ))
-                  | true, _, _ | false, None, None ->
-                      `Error
-                        ( false,
-                          "choose exactly one of --stdio, --socket PATH or \
-                           --tcp HOST:PORT (--socket may combine with --tcp)"
-                        )
+                match (stdio, socket, tcp) with
+                | true, None, None when not router ->
+                    let server = Serve.Server.create config in
+                    Serve.Mux.serve_channels server stdin stdout;
+                    Serve.Server.shutdown server;
+                    finish ~stats
+                | false, Some _, _ | false, _, Some _ -> serve_sockets ()
+                | _ when router ->
+                    `Error
+                      ( false,
+                        "--router serves on --socket PATH and/or --tcp \
+                         HOST:PORT, not --stdio" )
+                | _ ->
+                    `Error
+                      ( false,
+                        "choose exactly one of --stdio, --socket PATH or \
+                         --tcp HOST:PORT (--socket may combine with --tcp)" )
               in
               cleanup ();
               result)

@@ -137,10 +137,9 @@ let solve ?deadline_ms ?(hint = "auto") ?(seed = 1)
                 Ok { result = fast_result; solver = fast_name; degraded = false }
             | Some heavy -> (
                 let remaining = remaining_ms () in
-                (* Admission control: when the process reports pressure
-                   (saturated pool/cache or a stuck task), shed the heavy
-                   tier pre-emptively — before deadline pressure — and
-                   answer degraded from the fast path. *)
+                (* When the caller reports pressure, shed the heavy tier
+                   pre-emptively — before deadline pressure — and answer
+                   degraded from the fast path. *)
                 let shed = pressure () in
                 (* A heavy solver that cannot possibly finish inside the
                    budget would blow the deadline, not merely use it up:

@@ -12,11 +12,12 @@
     branch-and-bound solver the remaining budget additionally scales the
     node limit.
 
-    Admission control: a [pressure] callback (the server wires it to
-    [Obs.Health.status]) is consulted before the heavy tier runs; under
-    pressure the heavy solver is shed pre-emptively — even with budget
-    to spare — and the fast-path result is returned degraded, bumping
-    [serve.dispatch.shed] instead of [serve.dispatch.degraded].
+    Pre-emptive shedding: a [pressure] callback is consulted before the
+    heavy tier runs; under pressure the heavy solver is shed — even with
+    budget to spare — and the fast-path result is returned degraded,
+    bumping [serve.dispatch.shed] instead of [serve.dispatch.degraded].
+    The server passes none: its transport sheds at admission instead
+    ({!Mux.admission}), by rewriting the deadline to 0.
 
     Counters: [serve.dispatch.degraded], [serve.dispatch.heavy_runs],
     [serve.dispatch.fast_only], [serve.dispatch.shed]. *)

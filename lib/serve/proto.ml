@@ -106,32 +106,6 @@ let stats_format_of_string = function
 let float_to_text x =
   if x = infinity then "inf" else Printf.sprintf "%.17g" x
 
-(* --- frame reading ------------------------------------------------------ *)
-
-let input_line_opt ic = try Some (String.trim (input_line ic)) with End_of_file -> None
-
-(* First non-blank line, or None at EOF. *)
-let rec read_header ic =
-  match input_line_opt ic with
-  | None -> None
-  | Some "" -> read_header ic
-  | Some line -> Some line
-
-(* Body lines of the current frame, up to (excluding) the [end]
-   terminator. [Error] if the stream ends mid-frame. *)
-let read_body ic =
-  let rec go acc =
-    match input_line_opt ic with
-    | None -> Result.Error "truncated frame: missing \"end\" terminator"
-    | Some "end" -> Ok (List.rev acc)
-    | Some line -> go (line :: acc)
-  in
-  go []
-
-(* Skip the rest of a frame whose header was unacceptable, so the session
-   can resynchronize on the next frame. *)
-let drain_frame ic = ignore (read_body ic)
-
 (* --- requests ----------------------------------------------------------- *)
 
 let split_first line =
@@ -581,21 +555,27 @@ let parse_session body =
 (* --- frames ------------------------------------------------------------- *)
 
 (* One assembled frame, transport-agnostic: the header line plus the body
-   lines up to (excluding) the [end] terminator. The channel readers and
-   the incremental parser both reduce to this before dispatching on the
-   header, so every transport shares one parse path. *)
+   lines up to (excluding) the [end] terminator. Every reader — the
+   event loop, stdio, the client-side [read_response] — assembles frames
+   with [Incremental] and decodes them from here, so there is one parse
+   path. *)
 type frame = { fheader : string; fbody : string list }
+
+let frame_to_string { fheader; fbody } =
+  let buf = Buffer.create 256 in
+  List.iter
+    (fun line ->
+      Buffer.add_string buf line;
+      Buffer.add_char buf '\n')
+    (fheader :: fbody);
+  Buffer.add_string buf "end\n";
+  Buffer.contents buf
 
 let bad_request_header header =
   Printf.sprintf
     "bad request header %S (expected %S, %S, %S, %S, %S, %S or %S)" header
     request_header stats_header events_header health_header explain_header
     session_header profile_header
-
-let known_incoming_header header =
-  header = request_header || header = stats_header || header = events_header
-  || header = health_header || header = explain_header
-  || header = session_header || header = profile_header
 
 let incoming_of_frame { fheader = header; fbody = body } =
   if header = request_header then
@@ -608,30 +588,14 @@ let incoming_of_frame { fheader = header; fbody = body } =
   else if header = profile_header then parse_profile body
   else Result.Error (bad_request_header header)
 
-let read_incoming ic =
-  match read_header ic with
-  | None -> Ok None
-  | Some header when known_incoming_header header -> (
-      match read_body ic with
-      | Result.Error _ as e -> e
-      | Ok body -> (
-          match incoming_of_frame { fheader = header; fbody = body } with
-          | Ok incoming -> Ok (Some incoming)
-          | Result.Error _ as e -> e))
-  | Some header ->
-      drain_frame ic;
-      Result.Error (bad_request_header header)
-
 (* --- incremental parsing ------------------------------------------------- *)
 
-(* Readiness-driven transports (the mux event loop) own raw byte
-   buffers, not channels: bytes arrive in arbitrary chunks, possibly
-   splitting a line — or the [payload] marker — anywhere. The
-   incremental parser accumulates bytes, re-assembles the same
-   trimmed-line stream [input_line]+[String.trim] would produce, and
-   yields whole frames for {!incoming_of_frame}/{!response_of_frame},
-   so decode and resync behavior are identical to the channel path by
-   construction. *)
+(* The one frame assembler. Bytes arrive in arbitrary chunks, possibly
+   splitting a line — or the [payload] marker — anywhere; the parser
+   accumulates them, cuts trimmed lines, and yields whole frames for
+   {!incoming_of_frame}/{!response_of_frame}. Channel readers that
+   already have whole lines push them straight into the same frame state
+   machine. *)
 module Incremental = struct
   type t = {
     mutable data : Bytes.t;
@@ -641,7 +605,7 @@ module Incremental = struct
     mutable cur : (string * string list) option;
   }
 
-  let create () = { data = Bytes.create 4096; len = 0; pos = 0; cur = None }
+  let create () = { data = Bytes.empty; len = 0; pos = 0; cur = None }
 
   let feed t s =
     let n = String.length s in
@@ -652,7 +616,7 @@ module Incremental = struct
       t.pos <- 0
     end;
     if t.len + n > Bytes.length t.data then begin
-      let cap = ref (max 8 (2 * Bytes.length t.data)) in
+      let cap = ref (max 4096 (2 * Bytes.length t.data)) in
       while t.len + n > !cap do
         cap := 2 * !cap
       done;
@@ -663,80 +627,47 @@ module Incremental = struct
     Bytes.blit_string s 0 t.data t.len n;
     t.len <- t.len + n
 
-  (* matches the channel path: a stream that ends without a trailing
-     newline still delivers its tail bytes as one final line *)
+  (* a stream that ends without a trailing newline still delivers its
+     tail bytes as one final line, as [input_line] does *)
   let finish t = if t.len > t.pos then feed t "\n"
 
   let in_frame t = t.cur <> None
   let buffered t = t.len - t.pos
 
-  let next_line t =
-    let rec find i =
-      if i >= t.len then None
-      else if Bytes.get t.data i = '\n' then Some i
-      else find (i + 1)
-    in
-    match find t.pos with
-    | None -> None
-    | Some i ->
-        let line = Bytes.sub_string t.data t.pos (i - t.pos) in
-        t.pos <- i + 1;
-        Some (String.trim line)
+  let push_line t line =
+    let line = String.trim line in
+    match t.cur with
+    | None ->
+        (* blank lines between frames are ignored *)
+        if line <> "" then t.cur <- Some (line, []);
+        None
+    | Some (header, lines) ->
+        if line = "end" then begin
+          t.cur <- None;
+          Some { fheader = header; fbody = List.rev lines }
+        end
+        else begin
+          t.cur <- Some (header, line :: lines);
+          None
+        end
 
   let rec next_frame t =
-    match next_line t with
+    let rec newline i =
+      if i >= t.len then None
+      else if Bytes.get t.data i = '\n' then Some i
+      else newline (i + 1)
+    in
+    match newline t.pos with
     | None -> None
-    | Some line -> (
-        match t.cur with
-        | None ->
-            (* blank lines between frames are ignored, like read_header *)
-            if line = "" then next_frame t
-            else begin
-              t.cur <- Some (line, []);
-              next_frame t
-            end
-        | Some (header, lines) ->
-            if line = "end" then begin
-              t.cur <- None;
-              Some { fheader = header; fbody = List.rev lines }
-            end
-            else begin
-              t.cur <- Some (header, line :: lines);
-              next_frame t
-            end)
+    | Some i -> (
+        let line = Bytes.sub_string t.data t.pos (i - t.pos) in
+        t.pos <- i + 1;
+        match push_line t line with
+        | Some _ as frame -> frame
+        | None -> next_frame t)
 
   let truncated_error = "truncated frame: missing \"end\" terminator"
 end
-
-let read_request ic =
-  match read_incoming ic with
-  | Ok None -> Ok None
-  | Ok (Some (Solve req)) -> Ok (Some req)
-  | Ok (Some (Stats _)) ->
-      Result.Error
-        (Printf.sprintf "unexpected %S frame (expected %S)" stats_header
-           request_header)
-  | Ok (Some (Events _)) ->
-      Result.Error
-        (Printf.sprintf "unexpected %S frame (expected %S)" events_header
-           request_header)
-  | Ok (Some Health) ->
-      Result.Error
-        (Printf.sprintf "unexpected %S frame (expected %S)" health_header
-           request_header)
-  | Ok (Some (Explain _)) ->
-      Result.Error
-        (Printf.sprintf "unexpected %S frame (expected %S)" explain_header
-           request_header)
-  | Ok (Some (Session _)) ->
-      Result.Error
-        (Printf.sprintf "unexpected %S frame (expected %S)" session_header
-           request_header)
-  | Ok (Some (Profile _)) ->
-      Result.Error
-        (Printf.sprintf "unexpected %S frame (expected %S)" profile_header
-           request_header)
-  | Result.Error _ as e -> e
 
 let write_request oc (req : request) =
   output_string oc request_header;
@@ -1073,15 +1004,16 @@ let response_of_frame { fheader = header; fbody = body } =
     | None -> Result.Error "response missing status"
 
 let read_response ic =
-  match read_header ic with
-  | None -> Ok None
-  | Some header when header = response_header -> (
-      match read_body ic with
-      | Result.Error _ as e -> e
-      | Ok body -> (
-          match response_of_frame { fheader = header; fbody = body } with
-          | Ok response -> Ok (Some response)
-          | Result.Error _ as e -> e))
-  | Some header ->
-      drain_frame ic;
-      Result.Error (bad_response_header header)
+  let parser = Incremental.create () in
+  let rec go () =
+    match input_line ic with
+    | exception End_of_file ->
+        if Incremental.in_frame parser then
+          Result.Error Incremental.truncated_error
+        else Ok None
+    | line -> (
+        match Incremental.push_line parser line with
+        | None -> go ()
+        | Some frame -> Result.map Option.some (response_of_frame frame))
+  in
+  go ()

@@ -343,9 +343,13 @@ val session_op_name : session_op -> string
 
 type frame = { fheader : string; fbody : string list }
 (** One assembled frame, transport-agnostic: the header line plus the
-    body lines up to (excluding) the [end] terminator. The channel
-    readers and {!Incremental} both reduce to this before dispatching on
-    the header, so every transport shares one parse path. *)
+    body lines up to (excluding) the [end] terminator. Every reader
+    assembles frames with {!Incremental} and decodes them from here, so
+    there is one parse path. *)
+
+val frame_to_string : frame -> string
+(** The frame's wire bytes: header, body lines, [end] (what a proxy
+    relays). *)
 
 val incoming_of_frame : frame -> (incoming, string) result
 (** Decode an assembled frame as a request/admin frame; [Error] on an
@@ -360,12 +364,13 @@ val response_to_string : response -> string
     {!write_response} writes), for transports that own their output
     buffers. *)
 
-(** Incremental frame assembly for readiness-driven transports (the mux
-    event loop): bytes arrive in arbitrary chunks, possibly splitting a
-    line — or the [payload] marker — anywhere. The parser accumulates
-    bytes and re-assembles the same trimmed-line stream
-    [input_line]+[String.trim] would produce, so decode and resync
-    behavior are identical to the channel path by construction. *)
+(** The frame assembler every reader shares: the event loop and stdio
+    feed it raw bytes, which arrive in arbitrary chunks, possibly
+    splitting a line — or the [payload] marker — anywhere; channel
+    readers with whole lines ({!read_response}) push them directly. Lines
+    are trimmed, blank lines between frames are skipped, and a frame with
+    an unknown header is still assembled up to its [end], so the stream
+    resynchronizes on the next frame. *)
 module Incremental : sig
   type t
 
@@ -379,9 +384,14 @@ module Incremental : sig
       loop after each {!feed} — one chunk can complete several pipelined
       frames. *)
 
+  val push_line : t -> string -> frame option
+  (** Push one whole line (without its newline) into the frame state
+      machine, bypassing the byte buffer; returns the frame it
+      completes. Do not mix with {!feed} on one parser. *)
+
   val finish : t -> unit
   (** Signal end-of-stream: a tail without a trailing newline is
-      delivered as a final line, matching [input_line]. *)
+      delivered as a final line, as [input_line] would. *)
 
   val in_frame : t -> bool
   (** A frame header has been read but its [end] terminator has not —
@@ -392,18 +402,8 @@ module Incremental : sig
   (** Bytes received but not yet consumed into frames. *)
 
   val truncated_error : string
-  (** The channel path's message for a frame cut before [end]. *)
+  (** The error for a stream cut before a frame's [end]. *)
 end
-
-val read_incoming : in_channel -> (incoming option, string) result
-(** Read one frame of either kind. [Ok None] is clean end-of-stream (no
-    frame started); [Error] is a malformed frame — the stream is
-    consumed up to the frame's [end] terminator (or EOF) so the session
-    can continue with the next frame. *)
-
-val read_request : in_channel -> (request option, string) result
-(** {!read_incoming} restricted to solve requests; a stats frame is an
-    error. Semantics otherwise identical. *)
 
 val write_request : out_channel -> request -> unit
 (** Client side; flushes. *)
@@ -432,4 +432,7 @@ val write_response : out_channel -> response -> unit
 (** Server side; flushes. *)
 
 val read_response : in_channel -> (response option, string) result
-(** Client side; [Ok None] on clean end-of-stream. *)
+(** Client side: read one response frame, line by line through an
+    {!Incremental}. [Ok None] on clean end-of-stream; [Error] for a
+    malformed frame (consumed up to its [end]) or a stream cut
+    mid-frame. *)

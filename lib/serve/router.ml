@@ -2,8 +2,9 @@
    request onto one of N backend server processes, so repeated (and
    relabeled — the key is Canon.prehash, which is relabeling-invariant)
    instances keep landing on the shard that already cached them. The
-   router does no solving and keeps no schedule state: it forwards one
-   frame, relays one response, in order, per client connection. *)
+   router does no solving and keeps no schedule state. This module is
+   the routing policy and its metrics; the event loop in Mux owns the
+   client and backend sockets. *)
 
 module Ring = struct
   (* Classic consistent hashing: every backend owns [vnodes] points on
@@ -40,15 +41,11 @@ end
 type t = {
   backends : string array;
   ring : Ring.t;
-  pool : Parallel.Pool.t;
-  stopping : bool Atomic.t;
-  mutable listen_fd : Unix.file_descr option;
-  mutable listen_path : string option;  (* unix path to unlink on exit *)
   fwd_cells : Obs.Labeled.cell array;
   c_backend_errors : Obs.Counter.t;
 }
 
-let create ?(vnodes = 128) ?(jobs = 4) backends =
+let create ?(vnodes = 128) backends =
   if backends = [] then invalid_arg "Router.create: need at least one backend";
   let backends = Array.of_list backends in
   (* per-create like the mux metrics: only router processes carry the
@@ -57,16 +54,15 @@ let create ?(vnodes = 128) ?(jobs = 4) backends =
   {
     backends;
     ring = Ring.make ~vnodes (Array.length backends);
-    pool = Parallel.Pool.create (max 1 jobs);
-    stopping = Atomic.make false;
-    listen_fd = None;
-    listen_path = None;
     fwd_cells =
       Array.mapi (fun i _ -> Obs.Labeled.cell family (string_of_int i)) backends;
     c_backend_errors = Obs.Counter.make "serve.router.backend_errors";
   }
 
 let backend_count t = Array.length t.backends
+let backend t i = t.backends.(i)
+let forwarded t i = Obs.Labeled.incr t.fwd_cells.(i)
+let backend_error t = Obs.Counter.incr t.c_backend_errors
 
 (* Solves shard by the relabeling-invariant instance fingerprint;
    session frames pin a session's whole lifecycle to one shard by its
@@ -79,179 +75,3 @@ let shard_of_incoming t (incoming : Proto.incoming) =
   | Proto.Stats _ | Proto.Events _ | Proto.Health | Proto.Explain _
   | Proto.Profile _ ->
       0
-
-let write_incoming oc (incoming : Proto.incoming) =
-  match incoming with
-  | Proto.Solve req -> Proto.write_request oc req
-  | Proto.Stats format -> Proto.write_stats_request oc format
-  | Proto.Events { count; min_level } ->
-      Proto.write_events_request ?count ~level:min_level oc
-  | Proto.Health -> Proto.write_health_request oc
-  | Proto.Explain id -> Proto.write_explain_request oc id
-  | Proto.Session sreq -> Proto.write_session_request oc sreq
-  | Proto.Profile pr -> Proto.write_profile_request oc pr
-
-type backend_conn = {
-  bfd : Unix.file_descr;
-  bic : in_channel;
-  boc : out_channel;
-}
-
-let connect_backend target =
-  match Scrape.resolve target with
-  | Error _ as e -> e
-  | Ok (domain, addr) -> (
-      match
-        let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
-        (try
-           Unix.connect fd addr;
-           if domain = Unix.PF_INET then Unix.setsockopt fd Unix.TCP_NODELAY true
-         with e ->
-           Unix.close fd;
-           raise e);
-        fd
-      with
-      | exception Unix.Unix_error (err, _, _) ->
-          Error
-            (Printf.sprintf "backend %s: %s" target (Unix.error_message err))
-      | fd ->
-          Ok
-            {
-              bfd = fd;
-              bic = Unix.in_channel_of_descr fd;
-              boc = Unix.out_channel_of_descr fd;
-            })
-
-(* One client session: read frames, forward each to its shard over a
-   lazily-opened per-client backend connection (so backend replies can
-   never interleave across clients), relay the response verbatim. A
-   backend failure degrades to an error reply and drops that backend
-   connection; the client session survives. *)
-let handle_client t client =
-  let ic = Unix.in_channel_of_descr client in
-  let oc = Unix.out_channel_of_descr client in
-  let conns = Array.make (Array.length t.backends) None in
-  let drop_backend i =
-    match conns.(i) with
-    | Some b ->
-        conns.(i) <- None;
-        (try Unix.close b.bfd with Unix.Unix_error _ -> ())
-    | None -> ()
-  in
-  let backend i =
-    match conns.(i) with
-    | Some b -> Ok b
-    | None -> (
-        match connect_backend t.backends.(i) with
-        | Error _ as e -> e
-        | Ok b ->
-            conns.(i) <- Some b;
-            Ok b)
-  in
-  let forward i incoming =
-    match backend i with
-    | Error msg ->
-        Obs.Counter.incr t.c_backend_errors;
-        Proto.Error msg
-    | Ok b -> (
-        match
-          write_incoming b.boc incoming;
-          Proto.read_response b.bic
-        with
-        | Ok (Some response) ->
-            Obs.Labeled.incr t.fwd_cells.(i);
-            response
-        | Ok None ->
-            drop_backend i;
-            Obs.Counter.incr t.c_backend_errors;
-            Proto.Error
-              (Printf.sprintf "backend %s closed the connection" t.backends.(i))
-        | Error msg | (exception Sys_error msg) ->
-            drop_backend i;
-            Obs.Counter.incr t.c_backend_errors;
-            Proto.Error (Printf.sprintf "backend %s: %s" t.backends.(i) msg))
-  in
-  let respond response =
-    Proto.write_response oc response;
-    Obs.Health.waiting ()
-  in
-  let rec loop () =
-    match Proto.read_incoming ic with
-    | Ok None -> ()
-    | Ok (Some incoming) ->
-        respond (forward (shard_of_incoming t incoming) incoming);
-        loop ()
-    | Error msg ->
-        respond (Proto.Error msg);
-        loop ()
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iteri (fun i _ -> drop_backend i) conns;
-      (try flush oc with Sys_error _ -> ());
-      try Unix.close client with Unix.Unix_error _ -> ())
-    loop
-
-let bind_unix t ~path =
-  if Sys.file_exists path then Sys.remove path;
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind fd (Unix.ADDR_UNIX path);
-  Unix.listen fd 128;
-  t.listen_fd <- Some fd;
-  t.listen_path <- Some path
-
-let bind_tcp t ~host ~port =
-  let addr =
-    match Unix.getaddrinfo host (string_of_int port)
-            [ Unix.AI_SOCKTYPE Unix.SOCK_STREAM; Unix.AI_FAMILY Unix.PF_INET ]
-    with
-    | { Unix.ai_addr; _ } :: _ -> ai_addr
-    | [] -> raise (Unix.Unix_error (Unix.EADDRNOTAVAIL, "getaddrinfo", host))
-  in
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt fd Unix.SO_REUSEADDR true;
-  Unix.bind fd addr;
-  Unix.listen fd 128;
-  t.listen_fd <- Some fd;
-  Unix.getsockname fd
-
-let run t =
-  let fd =
-    match t.listen_fd with
-    | Some fd -> fd
-    | None -> invalid_arg "Router.run: bind a listener first"
-  in
-  let rec accept_loop () =
-    if not (Atomic.get t.stopping) then
-      match Unix.accept ~cloexec:true fd with
-      | client, _ ->
-          Parallel.Pool.submit t.pool (fun () -> handle_client t client);
-          accept_loop ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_loop ()
-      | exception
-          Unix.Unix_error ((Unix.EBADF | Unix.EINVAL | Unix.ECONNABORTED), _, _)
-        ->
-          ()
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      t.listen_fd <- None;
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      match t.listen_path with
-      | Some path -> (
-          t.listen_path <- None;
-          try Sys.remove path with Sys_error _ -> ())
-      | None -> ())
-    accept_loop
-
-let stop t =
-  Atomic.set t.stopping true;
-  match t.listen_fd with
-  | None -> ()
-  | Some fd -> (
-      try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-
-let shutdown t =
-  stop t;
-  Parallel.Pool.wait_idle t.pool;
-  Parallel.Pool.shutdown t.pool

@@ -9,12 +9,13 @@
     have no affinity and go to shard 0 — scrape backends directly for
     their own metrics.
 
-    Each client connection is served by a pool task that opens its own
-    lazily-connected backend sockets (Unix paths or [HOST:PORT]), so
-    responses relay in request order and backends never interleave
-    replies across clients. A backend failure is answered with a
-    [status error] reply and that backend connection is dropped and
-    re-dialed on next use; the client session survives.
+    The relay itself runs on the {!Mux} event loop
+    ({!Mux.create_router}): each client connection gets its own lazily
+    dialed, non-blocking backend sockets (Unix paths or [HOST:PORT]), so
+    replies never interleave across clients and come back in request
+    order. A backend failure answers every frame pending on that
+    backend connection with [status error], and the next frame re-dials;
+    the client connection survives.
 
     Metrics (created per-{!create}): the labeled family
     [serve.router.forwarded{backend="<index>"}] and the
@@ -38,31 +39,22 @@ end
 
 type t
 
-val create : ?vnodes:int -> ?jobs:int -> string list -> t
+val create : ?vnodes:int -> string list -> t
 (** [create backends] builds a router over the given backend targets
-    (Unix socket paths or [HOST:PORT], see {!Scrape.resolve}) with its
-    own [jobs]-sized pool (default 4) for client sessions. Raises
+    (Unix socket paths or [HOST:PORT], see {!Scrape.resolve}). Raises
     [Invalid_argument] on an empty backend list. *)
 
 val backend_count : t -> int
 
+val backend : t -> int -> string
+(** The target of backend [i]. *)
+
 val shard_of_incoming : t -> Proto.incoming -> int
-(** The backend index a frame routes to (exposed for tests). *)
+(** The backend index a frame routes to. *)
 
-val bind_unix : t -> path:string -> unit
-(** Bind the router's listener to a Unix-domain socket (replacing a
-    stale socket file; removed when {!run} returns). *)
+val forwarded : t -> int -> unit
+(** Count one reply relayed from backend [i]. *)
 
-val bind_tcp : t -> host:string -> port:int -> Unix.sockaddr
-(** Bind the router's listener to a TCP address ([SO_REUSEADDR]);
-    returns the bound address (port 0 picks a free port). *)
-
-val run : t -> unit
-(** Accept and serve client connections until {!stop}; call after one
-    of the [bind_*]. Raises [Invalid_argument] with no listener. *)
-
-val stop : t -> unit
-(** Make {!run} return; safe from a signal handler. *)
-
-val shutdown : t -> unit
-(** {!stop}, drain in-flight client sessions, shut the pool down. *)
+val backend_error : t -> unit
+(** Count one frame answered with an error because its backend could
+    not be reached or dropped the connection. *)

@@ -70,9 +70,8 @@ type t = {
   cache : cached Cache.t;
   sessions : Session.t;
   pool : Parallel.Pool.t;
-  stopping : bool Atomic.t;
-  mutable listen_fd : Unix.file_descr option;
-  (* dump rate bound: sessions run concurrently on the pool, so the
+  stopping : bool Atomic.t;  (* ends the ticker *)
+  (* dump rate bound: requests run concurrently on the pool, so the
      last-dump stamp is mutex-guarded *)
   dump_mutex : Mutex.t;
   mutable last_dump_us : float;
@@ -228,7 +227,6 @@ let create config =
       sessions = Session.create config.session;
       pool = Parallel.Pool.create config.jobs;
       stopping = Atomic.make false;
-      listen_fd = None;
       dump_mutex = Mutex.create ();
       last_dump_us = neg_infinity;
       ticker = None;
@@ -267,19 +265,7 @@ let adopt_trace trace =
 let with_parent_span parent f =
   match parent with Some p -> Obs.Sink.with_span_id p f | None -> f ()
 
-(* Pressure for the dispatch layer's pre-emptive shed. A frame the mux
-   already admitted was judged against the same health lattice when it
-   arrived; re-reading it on the worker would race the loop filling the
-   queue behind that very frame (which then sheds the frame the burst
-   is waiting for), so admitted frames are never shed twice. *)
-let pressure ~admitted () =
-  (not admitted)
-  &&
-  match Obs.Health.status () with
-  | Obs.Health.Ok -> false
-  | Obs.Health.Degraded _ | Obs.Health.Unhealthy _ -> true
-
-let handle_request ?(admitted = false) t (req : Proto.request) =
+let handle_request t (req : Proto.request) =
   let req_id, parent_span = adopt_trace req.Proto.trace in
   Obs.Sink.with_ctx req_id @@ fun () ->
   with_parent_span parent_span @@ fun () ->
@@ -340,7 +326,6 @@ let handle_request ?(admitted = false) t (req : Proto.request) =
     | Some _ as d -> d
     | None -> t.config.default_deadline_ms
   in
-  let pressure = pressure ~admitted in
   finish
   @@
   let ph = Canon.prehash req.instance in
@@ -353,7 +338,7 @@ let handle_request ?(admitted = false) t (req : Proto.request) =
        (whose pre-hash is now seen) hit it. *)
     Obs.Counter.incr c_prehash_misses;
     match
-      Dispatch.solve ?deadline_ms ?hint:req.solver ~pressure req.instance
+      Dispatch.solve ?deadline_ms ?hint:req.solver req.instance
     with
     | Error msg -> Proto.Error msg
     | Ok outcome ->
@@ -404,7 +389,7 @@ let handle_request ?(admitted = false) t (req : Proto.request) =
               }
         | None -> (
             match
-              Dispatch.solve ?deadline_ms ?hint:req.solver ~pressure
+              Dispatch.solve ?deadline_ms ?hint:req.solver
                 canon.Canon.instance
             with
             | Error msg -> Proto.Error msg
@@ -511,17 +496,17 @@ let handle_explain id =
 (* Session frames carry their own serve.session.* metrics (and a phase
    with the ambient request id for traces); they stay outside the
    serve.requests family, whose cells mean one-shot solve traffic. *)
-let handle_session ?(admitted = false) t (sreq : Proto.session_request) =
+let handle_session t (sreq : Proto.session_request) =
   let req_id, parent_span = adopt_trace sreq.Proto.trace in
   Obs.Sink.with_ctx req_id @@ fun () ->
   with_parent_span parent_span @@ fun () ->
   Obs.Span.phase ~detail:("sid=" ^ sreq.Proto.sid) "serve.session"
   @@ fun () ->
   Obs.Health.beat ();
-  let pressure = pressure ~admitted in
   match
     Session.handle t.sessions ~cache:t.cache
-      ~default_deadline_ms:t.config.default_deadline_ms ~pressure sreq
+      ~default_deadline_ms:t.config.default_deadline_ms
+      ~pressure:(fun () -> false) sreq
   with
   | Proto.Session_reply s ->
       (* stamp the served-under trace id on the ack and on the embedded
@@ -575,13 +560,12 @@ let handle_profile (pr : Proto.profile_request) =
           Obs.Profile.stop ();
           Proto.Profile_reply { body })
 
-(* One incoming frame, one response — the dispatch shared by every
-   transport (blocking channels here, the mux event loop's parsed
-   frames). Solve and session frames carry their own heartbeats inside
-   their request context; admin frames beat here. *)
-let handle_incoming ?admitted t (incoming : Proto.incoming) =
+(* One incoming frame, one response — the dispatch shared by stdio and
+   the event loop. Solve and session frames carry their own heartbeats
+   inside their request context; admin frames beat here. *)
+let handle_incoming t (incoming : Proto.incoming) =
   match incoming with
-  | Proto.Solve req -> handle_request ?admitted t req
+  | Proto.Solve req -> handle_request t req
   | Proto.Stats format ->
       Obs.Health.beat ();
       handle_stats format
@@ -594,7 +578,7 @@ let handle_incoming ?admitted t (incoming : Proto.incoming) =
   | Proto.Explain id ->
       Obs.Health.beat ();
       handle_explain id
-  | Proto.Session sreq -> handle_session ?admitted t sreq
+  | Proto.Session sreq -> handle_session t sreq
   | Proto.Profile pr ->
       Obs.Health.beat ();
       handle_profile pr
@@ -608,73 +592,8 @@ let protocol_error msg =
 
 let pool t = t.pool
 
-let serve_channels t ic oc =
-  let respond response =
-    Proto.write_response oc response;
-    (* the session is about to park in [read_incoming]; a blocked read
-       is not a wedged task *)
-    Obs.Health.waiting ()
-  in
-  let rec loop () =
-    match Proto.read_incoming ic with
-    | Ok None -> ()
-    | Ok (Some incoming) ->
-        respond (handle_incoming t incoming);
-        loop ()
-    | Error msg ->
-        respond (protocol_error msg);
-        loop ()
-  in
-  loop ()
-
-let run_stdio t = serve_channels t stdin stdout
-
-let handle_connection t client =
-  let ic = Unix.in_channel_of_descr client in
-  let oc = Unix.out_channel_of_descr client in
-  Fun.protect
-    ~finally:(fun () ->
-      (try flush oc with Sys_error _ -> ());
-      try Unix.close client with Unix.Unix_error _ -> ())
-    (fun () -> serve_channels t ic oc)
-
-let listen t ~path =
-  if Sys.file_exists path then Sys.remove path;
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind fd (Unix.ADDR_UNIX path);
-  Unix.listen fd 64;
-  t.listen_fd <- Some fd;
-  let rec accept_loop () =
-    if not (Atomic.get t.stopping) then
-      match Unix.accept fd with
-      | client, _ ->
-          Parallel.Pool.submit t.pool (fun () -> handle_connection t client);
-          accept_loop ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_loop ()
-      | exception
-          Unix.Unix_error ((Unix.EBADF | Unix.EINVAL | Unix.ECONNABORTED), _, _)
-        ->
-          (* [stop] shut the listening socket down under us *)
-          ()
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      t.listen_fd <- None;
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      try Sys.remove path with Sys_error _ -> ())
-    accept_loop
-
-let stop t =
-  Atomic.set t.stopping true;
-  match t.listen_fd with
-  | None -> ()
-  | Some fd -> (
-      (* shutdown (not close) wakes a blocked accept on every platform we
-         care about; listen's own cleanup closes the descriptor *)
-      try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-
 let shutdown t =
-  stop t;
+  Atomic.set t.stopping true;
   (* the ticker re-checks [stopping] after each sleep, so joining waits
      at most one interval *)
   (match t.ticker with

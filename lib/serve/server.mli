@@ -1,12 +1,10 @@
-(** Long-lived scheduling service: session loop, cache wiring, transports.
+(** Long-lived scheduling service: the transport-independent core.
 
-    One server owns a canonicalizing result {!Cache} and a
-    {!Parallel.Pool}. A session is a {!Proto} request/response stream;
-    {!serve_channels} runs one session to end-of-stream and never lets a
-    malformed request kill it. Two transports: stdio (single session,
-    sequential — deterministic and cram-testable) and a Unix-domain
-    socket (one session per connection, handled concurrently on the
-    pool).
+    One server owns a canonicalizing result {!Cache}, the {!Session}
+    registry and a {!Parallel.Pool}. {!handle_incoming} answers one
+    parsed {!Proto} frame with exactly one response; the one transport,
+    {!Mux}, owns every byte stream (stdio, Unix-domain and TCP sockets),
+    decides admission and calls in here.
 
     Per-request observability: a [serve.request] span brackets each
     request and carries a process-unique request id as the ambient
@@ -41,15 +39,11 @@
     (header [{"dump":"stuck-task",...}]), and — when
     [watchdog_interval_s] is set — spawns a ticker domain that runs the
     watchdog, samples the SLO rings and GC gauges, and refreshes the
-    [health.status] gauge every interval. Session loops mark their
-    domain [waiting] while parked in [read] so only genuinely wedged
-    tasks trip the watchdog. A [health v1] admin frame is answered with
-    the composite status, meters, burn rates and per-domain heartbeat
-    ages; {!handle_request} passes [Obs.Health.status] to
-    {!Dispatch.solve} as the [pressure] signal, so a non-[Ok] status
-    sheds the heavy solver tier pre-emptively ([serve.dispatch.shed]) —
-    except for frames the mux event loop already admitted, whose
-    admission was decided against the same status.
+    [health.status] gauge every interval. A [health v1] admin frame is
+    answered with the composite status, meters, burn rates and
+    per-domain heartbeat ages. The server never reads the status to
+    shed work itself: that decision is {!Mux.admission}'s, made once per
+    frame before it gets here.
 
     Sessions: [session v1] frames route into the server's
     {!Session} registry — create/mutate/resolve/close long-lived
@@ -74,7 +68,7 @@ type config = {
   cache_capacity : int;  (** LRU entries kept (default 128) *)
   default_deadline_ms : float option;
       (** budget applied when a request names none (default: none) *)
-  jobs : int;  (** pool domains for concurrent socket sessions *)
+  jobs : int;  (** pool domains that run queued socket frames *)
   slow_ms : float option;
       (** latency threshold for a slow-request dump; [None] (default)
           disables the slow trigger (non-ok responses still dump when
@@ -107,7 +101,7 @@ type t
 
 val create : config -> t
 
-val handle_request : ?admitted:bool -> t -> Proto.request -> Proto.response
+val handle_request : t -> Proto.request -> Proto.response
 (** The transport-independent core: fingerprint ({!Canon.prehash}),
     canonicalize, consult the cache, and on a miss dispatch under the
     request's deadline and cache the result (degraded results are not
@@ -118,44 +112,22 @@ val handle_request : ?admitted:bool -> t -> Proto.request -> Proto.response
     ([serve.canon.prehash_misses]; seen pre-hashes count in
     [serve.canon.prehash_hits]). Cached schedules are translated back
     through the request's labeling. Used directly by the bench
-    harness. [admitted] (default [false]) marks a frame a transport's
-    admission control already accepted under the health lattice: it is
-    never shed again by the dispatch-level [pressure] read. *)
+    harness. *)
 
-val handle_incoming : ?admitted:bool -> t -> Proto.incoming -> Proto.response
-(** Dispatch one parsed frame of any kind to its handler — the shared
-    core of every transport ({!serve_channels} and the mux event loop).
-    Admin frames stamp a health heartbeat here; solve/session frames
-    carry their own inside their request context. [admitted] is passed
-    to solve and session frames (see {!handle_request}). *)
+val handle_incoming : t -> Proto.incoming -> Proto.response
+(** Dispatch one parsed frame of any kind to its handler — the core the
+    transport calls for stdio and socket frames alike. Admin frames
+    stamp a health heartbeat here; solve/session frames carry their own
+    inside their request context. *)
 
 val protocol_error : string -> Proto.response
 (** The response for a frame that failed to parse: counts the failure in
     the request-error metrics and returns the [status error] reply. *)
 
 val pool : t -> Parallel.Pool.t
-(** The server's worker pool, for transports that submit work
-    themselves (the mux event loop). *)
-
-val serve_channels : t -> in_channel -> out_channel -> unit
-(** Run one session until end-of-stream: read requests, write exactly one
-    response each; protocol errors produce [status error] responses and
-    the session continues. *)
-
-val run_stdio : t -> unit
-(** [serve_channels] over stdin/stdout. *)
-
-val listen : t -> path:string -> unit
-(** Bind a Unix-domain socket at [path] (replacing a stale socket file)
-    and accept connections until {!stop}; each connection's session runs
-    as a pool task. Removes the socket file on exit. Raises
-    [Unix.Unix_error] if the path cannot be bound. *)
-
-val stop : t -> unit
-(** Make {!listen} return: safe to call from a signal handler or another
-    domain. In-flight sessions keep running; callers then use
-    {!shutdown} to drain them. *)
+(** The server's worker pool, onto which the event loop drains its
+    admission queue. *)
 
 val shutdown : t -> unit
-(** {!stop}, wait for in-flight sessions to finish, and shut the pool
-    down. Idempotent. *)
+(** Stop the ticker, wait for in-flight pool work to finish, and shut
+    the pool down. Idempotent. *)

@@ -224,6 +224,31 @@ let roundtrip_via_file write read =
       let ic = open_in path in
       Fun.protect ~finally:(fun () -> close_in ic) (fun () -> read ic))
 
+(* The next frame of a channel, assembled and decoded the way the
+   transports do it; [Ok None] at a clean end of stream. *)
+let next_incoming ic =
+  let parser = Serve.Proto.Incremental.create () in
+  let rec go () =
+    match input_line ic with
+    | exception End_of_file ->
+        if Serve.Proto.Incremental.in_frame parser then
+          Error Serve.Proto.Incremental.truncated_error
+        else Ok None
+    | line -> (
+        match Serve.Proto.Incremental.push_line parser line with
+        | None -> go ()
+        | Some frame ->
+            Result.map Option.some (Serve.Proto.incoming_of_frame frame))
+  in
+  go ()
+
+let next_request ic =
+  match next_incoming ic with
+  | Ok (Some (Serve.Proto.Solve req)) -> Ok (Some req)
+  | Ok (Some _) -> Error "not a request frame"
+  | Ok None -> Ok None
+  | Error msg -> Error msg
+
 let test_proto_request_roundtrip () =
   let inst = Workloads.Gen.identical (rng 11) ~n:5 ~m:2 ~k:2 () in
   let req =
@@ -239,9 +264,9 @@ let test_proto_request_roundtrip () =
         Serve.Proto.write_request oc req;
         Serve.Proto.write_request oc { req with solver = None; deadline_ms = None })
       (fun ic ->
-        let a = Serve.Proto.read_request ic in
-        let b = Serve.Proto.read_request ic in
-        let c = Serve.Proto.read_request ic in
+        let a = next_request ic in
+        let b = next_request ic in
+        let c = next_request ic in
         (a, b, c))
   with
   | Ok (Some a), Ok (Some b), Ok None ->
@@ -308,9 +333,9 @@ let test_proto_trace_roundtrip () =
            (req (Some { Serve.Proto.tid = "cli-a"; parent = None }));
          Serve.Proto.write_request oc (req None))
        (fun ic ->
-         let a = Serve.Proto.read_request ic in
-         let b = Serve.Proto.read_request ic in
-         let c = Serve.Proto.read_request ic in
+         let a = next_request ic in
+         let b = next_request ic in
+         let c = next_request ic in
          (a, b, c))
    with
   | Ok (Some a), Ok (Some b), Ok (Some c) ->
@@ -354,7 +379,7 @@ let test_proto_trace_roundtrip () =
              op = Serve.Proto.S_close;
              trace = Some { Serve.Proto.tid = "lg7.3"; parent = Some 4 };
            })
-       Serve.Proto.read_incoming
+       next_incoming
    with
   | Ok (Some (Serve.Proto.Session sreq)) -> (
       match sreq.Serve.Proto.trace with
@@ -371,7 +396,7 @@ let test_proto_trace_roundtrip () =
       match
         roundtrip_via_file
           (fun oc -> output_string oc text)
-          Serve.Proto.read_request
+          next_request
       with
       | Error msg ->
           Alcotest.(check bool)
@@ -390,7 +415,7 @@ let test_proto_explain_roundtrip () =
           (Serve.Proto.Explain_reply
              { body = "trace id=lg7.3 spans=1\nphase depth=0 name=a\n" }))
       (fun ic ->
-        let frame = Serve.Proto.read_incoming ic in
+        let frame = next_incoming ic in
         let resp = Serve.Proto.read_response ic in
         (frame, resp))
   with
@@ -419,9 +444,9 @@ let test_proto_malformed_resync () =
     roundtrip_via_file
       (fun oc -> output_string oc (text ^ good))
       (fun ic ->
-        let a = Serve.Proto.read_request ic in
-        let b = Serve.Proto.read_request ic in
-        let c = Serve.Proto.read_request ic in
+        let a = next_request ic in
+        let b = next_request ic in
+        let c = next_request ic in
         (a, b, c))
   with
   | Error bad_header, Error bad_instance, Ok (Some _) ->
@@ -432,8 +457,8 @@ let test_proto_malformed_resync () =
   | _ -> Alcotest.fail "expected error, error, ok"
 
 let test_proto_stats_roundtrip () =
-  (* stats frames both ways: the admin request parses via read_incoming,
-     and a Stats_reply carries a multi-line exposition body intact *)
+  (* stats frames both ways: the admin request parses, and a
+     Stats_reply carries a multi-line exposition body intact *)
   let body = "# TYPE serve_requests counter\nserve_requests{status=\"ok\"} 41\n" in
   match
     roundtrip_via_file
@@ -441,24 +466,14 @@ let test_proto_stats_roundtrip () =
         Serve.Proto.write_stats_request oc Serve.Proto.Prometheus;
         Serve.Proto.write_stats_request oc Serve.Proto.Json)
       (fun ic ->
-        let a = Serve.Proto.read_incoming ic in
-        let b = Serve.Proto.read_incoming ic in
-        let c = Serve.Proto.read_incoming ic in
+        let a = next_incoming ic in
+        let b = next_incoming ic in
+        let c = next_incoming ic in
         (a, b, c))
   with
   | ( Ok (Some (Serve.Proto.Stats Serve.Proto.Prometheus)),
       Ok (Some (Serve.Proto.Stats Serve.Proto.Json)),
       Ok None ) -> (
-      (* read_request must reject the admin frame rather than mis-parse *)
-      (match
-         roundtrip_via_file
-           (fun oc -> Serve.Proto.write_stats_request oc Serve.Proto.Prometheus)
-           Serve.Proto.read_request
-       with
-      | Error msg ->
-          Alcotest.(check bool) "read_request rejects stats" true
-            (Astring.String.is_infix ~affix:"stats" msg)
-      | Ok _ -> Alcotest.fail "read_request accepted a stats frame");
       match
         roundtrip_via_file
           (fun oc ->
@@ -482,9 +497,9 @@ let test_proto_events_roundtrip () =
          Serve.Proto.write_events_request oc;
          Serve.Proto.write_events_request ~count:7 ~level:Obs.Event.Warn oc)
        (fun ic ->
-         let a = Serve.Proto.read_incoming ic in
-         let b = Serve.Proto.read_incoming ic in
-         let c = Serve.Proto.read_incoming ic in
+         let a = next_incoming ic in
+         let b = next_incoming ic in
+         let c = next_incoming ic in
          (a, b, c))
    with
   | ( Ok (Some (Serve.Proto.Events { count = None; min_level = Obs.Event.Debug })),
@@ -492,16 +507,6 @@ let test_proto_events_roundtrip () =
         (Some (Serve.Proto.Events { count = Some 7; min_level = Obs.Event.Warn })),
       Ok None ) -> ()
   | _ -> Alcotest.fail "events frames did not roundtrip");
-  (* read_request must reject the admin frame rather than mis-parse *)
-  (match
-     roundtrip_via_file
-       (fun oc -> Serve.Proto.write_events_request oc)
-       Serve.Proto.read_request
-   with
-  | Error msg ->
-      Alcotest.(check bool) "read_request rejects events" true
-        (Astring.String.is_infix ~affix:"events" msg)
-  | Ok _ -> Alcotest.fail "read_request accepted an events frame");
   let body =
     "{\"ts_us\":1.000,\"level\":\"info\",\"name\":\"a\",\"domain\":0}\n"
     ^ "{\"ts_us\":2.000,\"level\":\"warn\",\"name\":\"b\",\"domain\":1,\"req\":\"r9\"}\n"
@@ -517,28 +522,18 @@ let test_proto_events_roundtrip () =
   | _ -> Alcotest.fail "expected an events reply"
 
 let test_proto_health_roundtrip () =
-  (* health frames both ways: the admin request parses via read_incoming
-     (and is rejected by read_request), and a Health_reply carries its
-     multi-line payload intact *)
+  (* health frames both ways: the admin request parses, and a
+     Health_reply carries its multi-line payload intact *)
   (match
      roundtrip_via_file
        (fun oc -> Serve.Proto.write_health_request oc)
        (fun ic ->
-         let a = Serve.Proto.read_incoming ic in
-         let b = Serve.Proto.read_incoming ic in
+         let a = next_incoming ic in
+         let b = next_incoming ic in
          (a, b))
    with
   | Ok (Some Serve.Proto.Health), Ok None -> ()
   | _ -> Alcotest.fail "health frame did not roundtrip");
-  (match
-     roundtrip_via_file
-       (fun oc -> Serve.Proto.write_health_request oc)
-       Serve.Proto.read_request
-   with
-  | Error msg ->
-      Alcotest.(check bool) "read_request rejects health" true
-        (Astring.String.is_infix ~affix:"health" msg)
-  | Ok _ -> Alcotest.fail "read_request accepted a health frame");
   let body =
     "status ok\nliveness ok\ntask_budget_s 30\n"
     ^ "meter name=cache fill=0.125\n"
@@ -583,7 +578,7 @@ let test_proto_session_roundtrip () =
   in
   let read_all ic =
     List.fold_left
-      (fun acc _ -> Serve.Proto.read_incoming ic :: acc)
+      (fun acc _ -> next_incoming ic :: acc)
       [] frames
     |> List.rev
   in
@@ -715,8 +710,8 @@ let test_proto_session_resync () =
             output_string oc frame;
             good oc)
           (fun ic ->
-            let a = Serve.Proto.read_incoming ic in
-            let b = Serve.Proto.read_incoming ic in
+            let a = next_incoming ic in
+            let b = next_incoming ic in
             (a, b))
       with
       | Error _, Ok (Some (Serve.Proto.Session r)) ->
@@ -728,13 +723,7 @@ let test_proto_session_resync () =
             | Ok (Some _) -> "wrong frame kind"
             | Error msg -> "error: " ^ msg)
       | Ok _, _ -> Alcotest.failf "malformed frame accepted: %S" frame)
-    bad;
-  (* read_request must reject a session frame rather than mis-parse it *)
-  match roundtrip_via_file good Serve.Proto.read_request with
-  | Error msg ->
-      Alcotest.(check bool) "read_request rejects session" true
-        (Astring.String.is_infix ~affix:"session" msg)
-  | Ok _ -> Alcotest.fail "read_request accepted a session frame"
+    bad
 
 (* --- Server ------------------------------------------------------------- *)
 
@@ -807,7 +796,7 @@ let test_server_stats_frame () =
       let oc = open_out outpath in
       Fun.protect
         ~finally:(fun () -> close_in ic)
-        (fun () -> Serve.Server.serve_channels server ic oc);
+        (fun () -> Serve.Mux.serve_channels server ic oc);
       close_out oc;
       let ic = open_in outpath in
       Fun.protect
@@ -890,7 +879,7 @@ let test_server_events_frame () =
       let oc = open_out outpath in
       Fun.protect
         ~finally:(fun () -> close_in ic)
-        (fun () -> Serve.Server.serve_channels server ic oc);
+        (fun () -> Serve.Mux.serve_channels server ic oc);
       close_out oc;
       let ic = open_in outpath in
       Fun.protect
@@ -945,7 +934,7 @@ let test_server_health_frame () =
       let oc = open_out outpath in
       Fun.protect
         ~finally:(fun () -> close_in ic)
-        (fun () -> Serve.Server.serve_channels server ic oc);
+        (fun () -> Serve.Mux.serve_channels server ic oc);
       close_out oc;
       let ic = open_in outpath in
       Fun.protect
@@ -1000,35 +989,6 @@ let test_dispatch_pressure_sheds () =
   match Serve.Dispatch.solve inst with
   | Ok o -> Alcotest.(check bool) "not degraded" false o.Serve.Dispatch.degraded
   | Error msg -> Alcotest.fail msg
-
-let test_admitted_frames_not_reshed () =
-  (* a frame a transport already admitted is not shed again by the
-     dispatch-level pressure read: with the health lattice degraded, a
-     plain request sheds the heavy tier, an admitted one runs it *)
-  let saturated = ref true in
-  Obs.Health.register_meter "test.admitted.saturated" (fun () ->
-      if !saturated then 1.0 else 0.0);
-  Fun.protect ~finally:(fun () -> saturated := false) @@ fun () ->
-  let server =
-    Serve.Server.create { Serve.Server.default_config with jobs = 1 }
-  in
-  Fun.protect ~finally:(fun () -> Serve.Server.shutdown server) @@ fun () ->
-  let req =
-    {
-      Serve.Proto.solver = Some "exact";
-      deadline_ms = None;
-      instance = Workloads.Gen.uniform (rng 61) ~n:8 ~m:3 ~k:2 ();
-      trace = None;
-    }
-  in
-  let degraded ?admitted () =
-    match Serve.Server.handle_request ?admitted server req with
-    | Serve.Proto.Reply r -> r.Serve.Proto.degraded
-    | _ -> Alcotest.fail "expected a solve reply"
-  in
-  Alcotest.(check bool) "plain request shed under pressure" true (degraded ());
-  Alcotest.(check bool) "admitted request runs the heavy tier" false
-    (degraded ~admitted:true ())
 
 let test_server_slow_dump () =
   (* acceptance criterion: a request over the slow threshold dumps a
@@ -1103,24 +1063,18 @@ let test_server_socket_session () =
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "serve_test_%d.sock" (Unix.getpid ()))
   in
-  let acceptor = Domain.spawn (fun () -> Serve.Server.listen server ~path) in
+  let mux = Serve.Mux.create server in
+  Serve.Mux.add_unix mux ~path;
+  let runner = Domain.spawn (fun () -> Serve.Mux.run mux) in
   Fun.protect
     ~finally:(fun () ->
+      Serve.Mux.stop mux;
+      Domain.join runner;
       Serve.Server.shutdown server;
-      Domain.join acceptor;
       try Sys.remove path with Sys_error _ -> ())
     (fun () ->
-      (* wait for the acceptor to bind *)
-      let rec connect tries =
-        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        match Unix.connect fd (Unix.ADDR_UNIX path) with
-        | () -> fd
-        | exception Unix.Unix_error _ when tries > 0 ->
-            Unix.close fd;
-            Unix.sleepf 0.02;
-            connect (tries - 1)
-      in
-      let fd = connect 200 in
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.connect fd (Unix.ADDR_UNIX path);
       let ic = Unix.in_channel_of_descr fd in
       let oc = Unix.out_channel_of_descr fd in
       let inst = Workloads.Gen.identical (rng 14) ~n:6 ~m:2 ~k:2 () in
@@ -1247,7 +1201,7 @@ let test_server_explain_acceptance () =
       let oc = open_out outpath in
       Fun.protect
         ~finally:(fun () -> close_in ic)
-        (fun () -> Serve.Server.serve_channels server ic oc);
+        (fun () -> Serve.Mux.serve_channels server ic oc);
       close_out oc;
       let ic = open_in outpath in
       Fun.protect
@@ -1352,7 +1306,7 @@ let test_server_events_filter () =
       let oc = open_out outpath in
       Fun.protect
         ~finally:(fun () -> close_in ic)
-        (fun () -> Serve.Server.serve_channels server ic oc);
+        (fun () -> Serve.Mux.serve_channels server ic oc);
       close_out oc;
       let ic = open_in outpath in
       Fun.protect
@@ -1586,13 +1540,14 @@ let test_session_idle_eviction () =
 
 (* --- incremental frame parser -------------------------------------------- *)
 
-(* oracle: what the channel path decodes from a byte stream *)
+(* oracle: the stream read line by line with [input_line], which every
+   byte-chunked feed of it must reproduce *)
 let channel_incomings text =
   roundtrip_via_file
     (fun oc -> output_string oc text)
     (fun ic ->
       let rec go acc =
-        match Serve.Proto.read_incoming ic with
+        match next_incoming ic with
         | Ok None -> List.rev acc
         | Ok (Some x) -> go (Ok x :: acc)
         | Error msg -> go (Error msg :: acc)
@@ -1747,7 +1702,7 @@ let test_incremental_every_split () =
            chunks)
     in
     if got <> oracle then
-      Alcotest.failf "split at byte %d diverges from the channel path" k
+      Alcotest.failf "split at byte %d diverges from the line-by-line read" k
   done
 
 let test_incremental_truncation () =
@@ -1856,8 +1811,7 @@ let test_router_ring () =
     (counts.(3) * 2 < List.length keys)
 
 let test_router_affinity () =
-  let router = Serve.Router.create ~jobs:1 [ "a"; "b"; "c"; "d" ] in
-  Fun.protect ~finally:(fun () -> Serve.Router.shutdown router) @@ fun () ->
+  let router = Serve.Router.create [ "a"; "b"; "c"; "d" ] in
   let r = rng 17 in
   let inst = Workloads.Gen.uniform r ~n:8 ~m:3 ~k:2 () in
   let solve inst =
@@ -1892,7 +1846,7 @@ let mux_connect port =
 
 let test_mux_tcp_pipeline () =
   (* pipelined frames on one TCP connection answer in order, through the
-     same cache as the blocking transport; a malformed frame gets an
+     same cache as stdio; a malformed frame gets an
      error reply and the connection survives *)
   let server =
     Serve.Server.create
@@ -1939,7 +1893,7 @@ let test_mux_tcp_pipeline () =
       Alcotest.(check (option string)) "replies arrive in request order"
         (Some (Printf.sprintf "mx.%d" (i + 1)))
         r.Serve.Proto.trace;
-      Alcotest.(check bool) "cache behaves like the blocking path" (i > 0)
+      Alcotest.(check bool) "cache behaves like stdio" (i > 0)
         r.Serve.Proto.cache_hit)
     replies;
   (match Serve.Proto.read_response ic with
@@ -1953,17 +1907,26 @@ let test_mux_tcp_pipeline () =
         (Astring.String.is_infix ~affix:"serve_requests" body)
   | _ -> Alcotest.fail "expected a stats reply after the error"
 
-let test_mux_sheds_under_overload () =
-  (* one pool worker, a queue of 2: a pipelined burst of 7 identical
-     requests admits 1 (dispatched) + 2 (queued), sheds 4 with degraded
-     replies — and every frame still gets exactly one in-order answer *)
+(* The wire bytes [write] emits, for a burst sent with one [write]. *)
+let frames_text write = roundtrip_via_file write In_channel.input_all
+
+let write_all fd text =
+  let rec go off =
+    if off < String.length text then
+      go (off + Unix.write_substring fd text off (String.length text - off))
+  in
+  go 0
+
+(* A serving loop on an ephemeral TCP port, stopped and drained after
+   [f port]. *)
+let with_mux ~jobs ~max_pending f =
   let server =
     Serve.Server.create
-      { Serve.Server.default_config with cache_capacity = 8; jobs = 2 }
+      { Serve.Server.default_config with cache_capacity = 8; jobs }
   in
   let mux =
     Serve.Mux.create
-      ~config:{ Serve.Mux.default_config with max_pending = 2 }
+      ~config:{ Serve.Mux.default_config with max_pending }
       server
   in
   let port =
@@ -1977,39 +1940,156 @@ let test_mux_sheds_under_overload () =
       Serve.Mux.stop mux;
       Domain.join runner;
       Serve.Server.shutdown server)
-  @@ fun () ->
-  (* big enough that the exact solve outlives the burst's arrival *)
-  let inst = Workloads.Gen.uniform (rng 53) ~n:12 ~m:4 ~k:3 () in
-  let fd, ic, oc = mux_connect port in
+    (fun () -> f port)
+
+(* Send [n] exact solves of distinct instances in one write and return
+   the replies' degraded flags, checking they arrive in request order. *)
+let exact_burst port ~tag n =
+  let fd, ic, _ = mux_connect port in
   Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
   @@ fun () ->
+  write_all fd
+    (frames_text (fun oc ->
+         for i = 1 to n do
+           Serve.Proto.write_request oc
+             {
+               Serve.Proto.solver = Some "exact";
+               deadline_ms = None;
+               instance = Workloads.Gen.uniform (rng (53 + i)) ~n:12 ~m:4 ~k:3 ();
+               trace =
+                 Some
+                   { Serve.Proto.tid = Printf.sprintf "%s.%d" tag i; parent = None };
+             }
+         done));
+  List.init n (fun i ->
+      match Serve.Proto.read_response ic with
+      | Ok (Some (Serve.Proto.Reply r)) ->
+          Alcotest.(check (option string)) "in order"
+            (Some (Printf.sprintf "%s.%d" tag (i + 1)))
+            r.Serve.Proto.trace;
+          r.Serve.Proto.degraded
+      | Ok (Some (Serve.Proto.Error msg)) -> Alcotest.fail msg
+      | _ -> Alcotest.fail "expected a solve reply")
+
+let test_mux_sheds_under_overload () =
+  (* one pool worker, a queue of 2: a burst of 7 requests in one write —
+     so every admission is decided in one pass of the loop — admits 1
+     (dispatched) + 2 (queued) and sheds 4 with degraded replies, and
+     every frame still gets exactly one in-order answer. Each frame has
+     its own instance, so no shed frame is answered from a cache the
+     admitted ones filled. *)
+  with_mux ~jobs:2 ~max_pending:2 @@ fun port ->
   let n = 7 in
-  for i = 1 to n do
-    Serve.Proto.write_request oc
-      {
-        Serve.Proto.solver = Some "exact";
-        deadline_ms = None;
-        instance = inst;
-        trace = Some { Serve.Proto.tid = Printf.sprintf "ov.%d" i; parent = None };
-      }
-  done;
-  let degraded = ref 0 and served = ref 0 in
-  for i = 1 to n do
-    match Serve.Proto.read_response ic with
-    | Ok (Some (Serve.Proto.Reply r)) ->
-        Alcotest.(check (option string)) "in order"
-          (Some (Printf.sprintf "ov.%d" i))
-          r.Serve.Proto.trace;
-        if r.Serve.Proto.degraded then incr degraded else incr served
-    | Ok (Some (Serve.Proto.Error msg)) -> Alcotest.fail msg
-    | _ -> Alcotest.fail "expected a solve reply"
-  done;
-  Alcotest.(check int) "every frame answered" n (!degraded + !served);
+  let flags = exact_burst port ~tag:"ov" n in
+  let degraded = List.length (List.filter Fun.id flags) in
+  let served = n - degraded in
+  Alcotest.(check int) "every frame answered" n (List.length flags);
   (* the queue meter feeds the health lattice, which halves capacity as
      the queue fills — so 2 or 3 frames are admitted (head-of-line plus
      one or two queued), and at least 4 of the 7 are shed degraded *)
-  Alcotest.(check bool) "overload sheds degraded replies" true (!degraded >= 4);
-  Alcotest.(check bool) "admitted frames get full answers" true (!served >= 2)
+  Alcotest.(check bool) "overload sheds degraded replies" true (degraded >= 4);
+  Alcotest.(check bool) "admitted frames get full answers" true (served >= 2)
+
+let show_admission = function
+  | Serve.Mux.Admitted -> "admitted"
+  | Serve.Mux.Shed_queue_full -> "shed_queue_full"
+  | Serve.Mux.Shed_pressure -> "shed_pressure"
+  | Serve.Mux.Shed_deadline -> "shed_deadline"
+
+let test_mux_shed_pressure () =
+  (* admission is the one reader of the health lattice for shedding: a
+     saturated meter halves a queue of 4 (Degraded) or closes it
+     (Unhealthy), and what it turns away below the configured bound is
+     labeled shed_pressure — in the decision itself and on a live loop *)
+  let fill = ref 1.0 in
+  Obs.Health.register_meter "test.mux.saturated" (fun () -> !fill);
+  Fun.protect ~finally:(fun () -> fill := 0.0) @@ fun () ->
+  let decisions () =
+    List.map
+      (fun depth -> show_admission (Serve.Mux.admission ~max_pending:4 ~depth))
+      [ 0; 1; 2; 3; 4 ]
+  in
+  Alcotest.(check (list string)) "degraded: queue of 2"
+    [ "admitted"; "admitted"; "shed_pressure"; "shed_pressure"; "shed_queue_full" ]
+    (decisions ());
+  let adm = Obs.Labeled.family "serve.mux.admission" ~label:"outcome" in
+  let ledger () =
+    List.map
+      (fun o -> Obs.Labeled.value (Obs.Labeled.cell adm o))
+      [ "admitted"; "shed_pressure"; "shed_queue_full" ]
+  in
+  let burst () =
+    with_mux ~jobs:2 ~max_pending:4 @@ fun port ->
+    let before = ledger () in
+    let flags = exact_burst port ~tag:"sp" 6 in
+    (List.length (List.filter Fun.id flags), List.map2 ( - ) (ledger ()) before)
+  in
+  (* one frame runs, two queue, the rest are shed: the pool's worker
+     is not part of the queue *)
+  let degraded, delta = burst () in
+  Alcotest.(check (list int)) "degraded ledger" [ 3; 3; 0 ] delta;
+  Alcotest.(check int) "degraded: shed replies" 3 degraded;
+  fill := 2.0;
+  Alcotest.(check (list string)) "unhealthy: nothing admitted"
+    [ "shed_pressure"; "shed_pressure"; "shed_pressure"; "shed_pressure";
+      "shed_queue_full" ]
+    (decisions ());
+  let degraded, delta = burst () in
+  Alcotest.(check (list int)) "unhealthy ledger" [ 0; 6; 0 ] delta;
+  Alcotest.(check int) "unhealthy: every reply shed" 6 degraded
+
+let test_mux_session_order () =
+  (* 40 session lifecycles pipelined down one connection: every sid's
+     ops apply in the order sent, both when the queue overflows (sheds
+     run at once) and when the pool runs frames concurrently *)
+  let inst = Workloads.Gen.uniform (rng 71) ~n:8 ~m:3 ~k:2 () in
+  let ops =
+    [
+      Serve.Proto.S_create inst;
+      Serve.Proto.S_resolve { deadline_ms = None };
+      Serve.Proto.S_add_jobs
+        [ { Core.Instance.nsize = 25.0; nclass = 1; nptimes = None; neligible = None } ];
+      Serve.Proto.S_resolve { deadline_ms = None };
+      Serve.Proto.S_drop_jobs [ 2 ];
+      Serve.Proto.S_resolve { deadline_ms = None };
+      Serve.Proto.S_close;
+    ]
+  in
+  let frames =
+    List.concat_map
+      (fun i ->
+        List.map
+          (fun op ->
+            { Serve.Proto.sid = Printf.sprintf "s%d" i; op; trace = None })
+          ops)
+      (List.init 40 Fun.id)
+  in
+  let text =
+    frames_text (fun oc -> List.iter (Serve.Proto.write_session_request oc) frames)
+  in
+  List.iter
+    (fun (jobs, max_pending) ->
+      with_mux ~jobs ~max_pending @@ fun port ->
+      let fd, ic, _ = mux_connect port in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+      @@ fun () ->
+      write_all fd text;
+      List.iter
+        (fun (sent : Serve.Proto.session_request) ->
+          match Serve.Proto.read_response ic with
+          | Ok (Some (Serve.Proto.Session_reply r)) ->
+              Alcotest.(check string) "reply order" sent.Serve.Proto.sid
+                r.Serve.Proto.sid;
+              Alcotest.(check string) "op order"
+                (Serve.Proto.session_op_name sent.Serve.Proto.op)
+                r.Serve.Proto.op
+          | Ok (Some (Serve.Proto.Error msg)) ->
+              Alcotest.failf "-j %d, max_pending %d: %s on %s" jobs max_pending
+                msg sent.Serve.Proto.sid
+          | _ -> Alcotest.fail "expected a session reply")
+        frames)
+    [ (2, 64); (4, 1000) ]
 
 let () =
   Alcotest.run "serve"
@@ -2044,8 +2124,6 @@ let () =
             test_dispatch_lpt_inapplicable;
           Alcotest.test_case "pressure sheds heavy tier" `Quick
             test_dispatch_pressure_sheds;
-          Alcotest.test_case "admitted frames are not shed twice" `Quick
-            test_admitted_frames_not_reshed;
         ] );
       ( "proto",
         [
@@ -2098,6 +2176,10 @@ let () =
           Alcotest.test_case "tcp pipelining" `Quick test_mux_tcp_pipeline;
           Alcotest.test_case "overload shedding" `Quick
             test_mux_sheds_under_overload;
+          Alcotest.test_case "shed_pressure under a saturated lattice" `Quick
+            test_mux_shed_pressure;
+          Alcotest.test_case "session frames keep their order" `Quick
+            test_mux_session_order;
         ] );
       ( "router",
         [
